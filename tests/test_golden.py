@@ -1,0 +1,81 @@
+"""Golden-behaviour gate: short runs must reproduce recorded results bit for bit.
+
+Each case is a desk-shaped run of a few rounds.  The fixture holds the
+SHA-256 of the final model's canonical bytes and every round's
+(MA, BA, TPR, TNR) as space-separated ``float.hex`` strings (``None`` when the
+queue held no attacker or no benign client), so any change to the
+arithmetic, the order of random draws or the aggregation shows up as a
+mismatch.  Refactors and speed-ups must leave this file green without
+touching the fixture.
+
+Re-record (only when behaviour is meant to change) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from trustfed.harness import SimConfig, run
+from trustfed.hashing import model_digest
+
+FIXTURE = Path(__file__).with_name("golden_digests.json")
+
+ROUNDS = 8
+DESK = dict(n_clients=40, queue_size=10, verify_set_size=10, n_verifiers=5,
+            verify_subset_size=4, attacker_ratio=0.25, poison_rate=0.33,
+            non_iid_degree=0.5, rounds=ROUNDS)
+ATTACKS = ("none", "blackbox", "pgd", "pgd_mr")
+
+
+def _cases():
+    cases = {}
+    for seed in (6, 10, 15):
+        for attack in ATTACKS:
+            for policy in ("open", "caav"):
+                for lag in (0, 2):
+                    cases[f"{attack}-{policy}-lag{lag}-seed{seed}"] = dict(
+                        attack=attack, verifier_policy=policy, verify_lag=lag, seed=seed)
+    for attack in ATTACKS:
+        cases[f"{attack}-undefended-seed6"] = dict(attack=attack, defense_enabled=False, seed=6)
+    cases["blackbox-open-reverse-verifiers-seed10"] = dict(
+        attack="blackbox", verifier_policy="open", bad_verifier_fraction=0.5, seed=10)
+    cases["blackbox-caav-raw-init-seed15"] = dict(
+        attack="blackbox", verifier_policy="caav", warm_start_size=0, seed=15)
+    return cases
+
+
+CASES = _cases()
+
+
+def _hex(value):
+    return "None" if value is None else float(value).hex()
+
+
+def observe(overrides) -> dict:
+    result = run(SimConfig(**DESK, **overrides))
+    return {
+        "model": model_digest(result.final_model),
+        "rounds": [" ".join(_hex(v) for v in (m.ma, m.ba, m.tpr, m.tnr)) for m in result.metrics],
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_matches_golden(case, golden):
+    assert observe(CASES[case]) == golden[case]
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps({name: observe(o) for name, o in sorted(CASES.items())},
+                                  indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(CASES)} cases in {FIXTURE}")
