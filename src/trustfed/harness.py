@@ -9,6 +9,7 @@ all other randomness aligned.
 """
 
 import csv
+import functools
 import json
 import math
 import time
@@ -80,7 +81,13 @@ class SimConfig:
 
     def __post_init__(self):
         self.trigger_coords = tuple(int(c) for c in self.trigger_coords)
-        self.attack = Attack(self.attack).value
+        try:
+            self.attack = Attack(self.attack).value
+        except ValueError:
+            raise ConfigError(
+                f"unknown attack {self.attack!r}; expected one of "
+                + ", ".join(a.value for a in Attack)
+            ) from None
 
     def validate(self):
         if self.queue_size > self.n_clients:
@@ -98,6 +105,11 @@ class SimConfig:
             raise ConfigError("attacker_ratio must lie in [0, 1]")
         if not 0.0 <= self.bad_verifier_fraction <= 1.0:
             raise ConfigError("bad_verifier_fraction must lie in [0, 1]")
+        if self.bad_verifier_fraction == 1.0 and _attacker_count(self) < self.n_clients:
+            # Outsiders can only dilute honest clients, never replace them.
+            raise ConfigError(
+                "bad_verifier_fraction = 1 needs every client compromised (attacker_ratio = 1)"
+            )
         if self.bad_verifier_mode not in ("random", "reverse"):
             raise ConfigError("bad_verifier_mode must be random or reverse")
         if self.verifier_policy not in ("open", "caav"):
@@ -133,12 +145,13 @@ class SimConfig:
             key, text = key.strip(), text.strip()
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, text)
+            values[key] = _parse_value(key, text, known[key].default is None)
         return cls(**values)
 
 
-def _parse_value(key: str, text: str):
-    if text == "" or text.lower() == "none":
+def _parse_value(key: str, text: str, optional: bool):
+    """Typed value of ``text``; "none" means unset only for optional keys."""
+    if text == "" or (optional and text.lower() == "none"):
         return None
     if key == "trigger_coords":
         return tuple(int(p) for p in text.split(",") if p.strip())
@@ -229,8 +242,12 @@ def _load_data(cfg: SimConfig):
     return pool, test
 
 
+def _attacker_count(cfg: SimConfig) -> int:
+    return int(round(cfg.attacker_ratio * cfg.n_clients))
+
+
 def _pick_attackers(cfg: SimConfig):
-    count = int(round(cfg.attacker_ratio * cfg.n_clients))
+    count = _attacker_count(cfg)
     if count == 0:
         return frozenset()
     rng = np.random.default_rng(derive_seed(cfg.seed, "attackers"))
@@ -258,8 +275,9 @@ def _verifier_population(cfg: SimConfig, attackers):
         count = max(1, int(round(want)))
         bad = rng.choice(sorted(attackers), size=min(count, n_att), replace=False)
         return clients, frozenset(int(c) for c in bad)
-    # outsider count o solves (n_att + o) / (n_clients + o) = p
-    outsiders = int(round((p * cfg.n_clients - n_att) / (1.0 - p))) if p < 1.0 else cfg.n_clients
+    # outsider count o solves (n_att + o) / (n_clients + o) = p; validate()
+    # rejects p = 1 here, where no finite o does.
+    outsiders = int(round((p * cfg.n_clients - n_att) / (1.0 - p)))
     outsider_ids = list(range(cfg.n_clients, cfg.n_clients + outsiders))
     return clients + outsider_ids, frozenset(attackers) | frozenset(outsider_ids)
 
@@ -278,6 +296,23 @@ def _measure_pgd_delta(cfg: SimConfig, profiles, global_model) -> float:
     if not norms:
         raise ConfigError("cannot calibrate pgd_delta without benign clients")
     return 0.8 * float(np.median(norms))
+
+
+@functools.lru_cache(maxsize=32)
+def _warm_start(master, n_features, hidden_width, n_classes, warm_start_size,
+                warm_start_epochs, data_separation) -> nn.ModelParams:
+    """Initial model pre-trained on a held-out seeded set, memoized per process.
+
+    Starting near the main task's optimum makes clients report drift-scale
+    gradients while a poisoned objective keeps producing large coordinated
+    ones.  The result depends only on the arguments and ``ModelParams``
+    arrays are read-only, so runs in one process can share it.
+    """
+    model = nn.init_mlp(n_features, hidden_width, n_classes, derive_seed(master, "init"))
+    warm = gen_dataset(warm_start_size, n_classes, n_features,
+                       derive_seed(master, "warm_start"), data_separation)
+    warm_cfg = nn.TrainConfig(0.1, warm_start_epochs, 64, derive_seed(master, "warm_start_train"))
+    return nn.sgd_train(model, warm.x, warm.y, warm_cfg)
 
 
 def run(cfg: SimConfig) -> RunResult:
@@ -300,17 +335,12 @@ def run(cfg: SimConfig) -> RunResult:
             profiles.append(ClientProfile(cid, parts[cid]))
     triggered = triggered_testset(test, poison_spec)
 
-    global_model = nn.init_mlp(test.n_features, cfg.hidden_width, test.n_classes,
-                               derive_seed(master, "init"))
     if cfg.warm_start_size > 0 and cfg.data_csv is None:
-        # Pre-train on a held-out seeded set so the run starts near the main
-        # task's optimum: clients then report drift-scale gradients while a
-        # poisoned objective keeps producing large coordinated ones.
-        warm = gen_dataset(cfg.warm_start_size, cfg.n_classes, cfg.n_features,
-                           derive_seed(master, "warm_start"), cfg.data_separation)
-        warm_cfg = nn.TrainConfig(0.1, cfg.warm_start_epochs, 64,
-                                  derive_seed(master, "warm_start_train"))
-        global_model = nn.sgd_train(global_model, warm.x, warm.y, warm_cfg)
+        global_model = _warm_start(master, cfg.n_features, cfg.hidden_width, cfg.n_classes,
+                                   cfg.warm_start_size, cfg.warm_start_epochs, cfg.data_separation)
+    else:
+        global_model = nn.init_mlp(test.n_features, cfg.hidden_width, test.n_classes,
+                                   derive_seed(master, "init"))
     store = ledger.OffchainStore()
     state = ledger.ContractState(cfg.queue_size, store.put(nn.to_bytes(global_model)))
     trust = ledger.TrustLedger()

@@ -170,28 +170,53 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_cached(model: ModelParams, x: np.ndarray):
-    """Return (activations per layer incl. input, probabilities)."""
-    acts = [x]
-    h = x
-    for i, layer in enumerate(model.layers):
-        z = h @ layer.weights.T + layer.bias
-        if i < len(model.layers) - 1:
-            h = np.maximum(z, 0.0)
-            acts.append(h)
-        else:
-            return acts, _softmax(z)
-    raise AssertionError("unreachable")
+def _raw(model: ModelParams):
+    """The model's weight matrices and bias vectors as two lists."""
+    return [layer.weights for layer in model.layers], [layer.bias for layer in model.layers]
 
 
-def forward_batch(model: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch, shape [n, classes]."""
+def _check_batch(model: ModelParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ShapeError(
             f"expected [n, {model.n_features}] inputs, got {x.shape}"
         )
-    _, probs = _forward_cached(model, x)
+    return x
+
+
+def _forward_raw(weights, biases, x: np.ndarray):
+    """Return (activations per layer incl. input, probabilities)."""
+    acts = [x]
+    h = x
+    last = len(weights) - 1
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w.T + b
+        if k < last:
+            h = np.maximum(z, 0.0)
+            acts.append(h)
+    return acts, _softmax(z)
+
+
+def _grads_raw(weights, biases, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy gradient per layer, as (weight grads, bias grads)."""
+    # The softmax output is a fresh array, so it becomes the error term in place.
+    acts, delta = _forward_raw(weights, biases, x)
+    n = y.size
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grad_w = [None] * len(weights)
+    grad_b = [None] * len(weights)
+    for k in range(len(weights) - 1, -1, -1):
+        grad_w[k] = delta.T @ acts[k]
+        grad_b[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ weights[k]) * (acts[k] > 0.0)
+    return grad_w, grad_b
+
+
+def forward_batch(model: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Class probabilities for a batch, shape [n, classes]."""
+    _, probs = _forward_raw(*_raw(model), _check_batch(model, x))
     return probs
 
 
@@ -216,30 +241,23 @@ def loss(model: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
 
 def gradients(model: ModelParams, x: np.ndarray, y: np.ndarray):
     """Mean loss gradient per layer, as a list of ``Layer`` objects."""
-    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
     if y.size == 0:
         raise DomainError("gradient needs a nonempty sample set")
-    acts, probs = _forward_cached(model, x)
-    n = y.size
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grads = [None] * len(model.layers)
-    for k in range(len(model.layers) - 1, -1, -1):
-        grads[k] = Layer(delta.T @ acts[k], delta.sum(axis=0))
-        if k > 0:
-            delta = (delta @ model.layers[k].weights) * (acts[k] > 0.0)
-    return grads
+    grad_w, grad_b = _grads_raw(*_raw(model), _check_batch(model, x), y)
+    return [Layer(w, b) for w, b in zip(grad_w, grad_b)]
 
 
 def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ModelParams:
     """Run ``local_epochs`` passes of seeded mini-batch SGD and return the result.
 
     Batches are drawn without replacement from a fresh shuffle each epoch; a
-    batch size larger than the dataset degrades to full-batch steps.
+    batch size larger than the dataset degrades to full-batch steps.  The
+    steps work on plain arrays: inputs are checked once, parameters are
+    checked for finiteness after every epoch, and the result is validated as
+    a new ``ModelParams``.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _check_batch(model, x)
     y = np.asarray(y, dtype=int)
     if y.size == 0:
         raise DomainError("training needs a nonempty sample set")
@@ -252,13 +270,10 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
         order = rng.permutation(n)
         for start in range(0, n, step):
             batch = order[start : start + step]
-            current = ModelParams(
-                tuple(Layer(w, b) for w, b in zip(weights, biases))
-            )
-            grads = gradients(current, x[batch], y[batch])
-            for k, g in enumerate(grads):
-                weights[k] -= cfg.learning_rate * g.weights
-                biases[k] -= cfg.learning_rate * g.bias
+            grad_w, grad_b = _grads_raw(weights, biases, x[batch], y[batch])
+            for k in range(len(weights)):
+                weights[k] -= cfg.learning_rate * grad_w[k]
+                biases[k] -= cfg.learning_rate * grad_b[k]
         for k in range(len(weights)):
             if not (np.isfinite(weights[k]).all() and np.isfinite(biases[k]).all()):
                 raise NumericalError(

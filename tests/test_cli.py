@@ -70,6 +70,25 @@ class TestRunCommand:
         cfg.write_text("not_a_knob = 1\n")
         assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
 
+    def test_attack_none_runs(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(FAST_CFG.replace("attack = blackbox", "attack = none"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads(open(out / "summary.json").read())
+        assert summary["config"]["attack"] == "none"
+
+    def test_unknown_attack_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(FAST_CFG.replace("attack = blackbox", "attack = trojan"))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "unknown attack 'trojan'" in capsys.readouterr().err
+
+    def test_fully_dishonest_verifiers_need_full_compromise(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(FAST_CFG + "bad_verifier_fraction = 1.0\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
 
 class TestPlanCommand:
     def test_plan_verifier_count(self, capsys):

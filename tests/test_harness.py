@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trustfed import ledger, nn
+import trustfed
+from trustfed import harness, ledger, nn
 from trustfed.clients import ClientProfile, local_round
 from trustfed.data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, partition_non_iid, triggered_testset
 from trustfed.errors import ConfigError, DomainError
@@ -183,6 +188,61 @@ class TestRun:
         with pytest.raises(ConfigError):
             SimConfig(verify_set_size=5, queue_size=10).validate()
 
+    def test_fully_dishonest_verifier_pool_needs_full_compromise(self):
+        with pytest.raises(ConfigError):
+            SimConfig(bad_verifier_fraction=1.0, attacker_ratio=0.25).validate()
+        SimConfig(bad_verifier_fraction=1.0, attacker_ratio=1.0).validate()
+
+
+class TestWarmStartMemo:
+    # seed, n_features, hidden_width, n_classes, warm_start_size, warm_start_epochs, data_separation
+    BASE = (3, 6, 8, 3, 60, 2, 5.0)
+    CHANGED = (4, 7, 9, 4, 61, 3, 4.0)
+
+    def test_every_input_changes_the_initial_model(self):
+        base = model_digest(harness._warm_start(*self.BASE))
+        for i, value in enumerate(self.CHANGED):
+            args = list(self.BASE)
+            args[i] = value
+            assert model_digest(harness._warm_start(*args)) != base, f"argument {i}"
+
+    def test_run_passes_its_config_to_the_memo(self, monkeypatch):
+        calls = []
+        real = harness._warm_start
+        monkeypatch.setattr(harness, "_warm_start", lambda *a: calls.append(a) or real(*a))
+        cfg = SimConfig(seed=21, data_separation=4.5, **FAST)
+        run(cfg)
+        assert calls == [(21, cfg.n_features, cfg.hidden_width, cfg.n_classes,
+                          cfg.warm_start_size, cfg.warm_start_epochs, 4.5)]
+
+    def test_cached_model_is_shared_and_read_only(self):
+        model = harness._warm_start(*self.BASE)
+        assert harness._warm_start(*self.BASE) is model
+        for layer in model.layers:
+            for arr in (layer.weights, layer.bias):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_memo_does_not_leak_between_runs(self):
+        # B reuses the warm start that A cached; it must match B in a fresh process.
+        shared = dict(attacker_ratio=0.25, seed=22, **FAST)
+        run(SimConfig(attack="blackbox", **shared))
+        b = run(SimConfig(attack="pgd_mr", **shared))
+        script = (
+            "from trustfed.harness import SimConfig, run\n"
+            "from trustfed.hashing import model_digest\n"
+            f"r = run(SimConfig(attack='pgd_mr', **{shared!r}))\n"
+            "print(model_digest(r.final_model))\n"
+            "print([(m.ma, m.ba, m.tpr, m.tnr) for m in r.metrics])\n"
+        )
+        src = str(Path(trustfed.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        digest, rounds = out.stdout.splitlines()
+        assert model_digest(b.final_model) == digest
+        assert repr([(m.ma, m.ba, m.tpr, m.tnr) for m in b.metrics]) == rounds
+
 
 class TestEmit:
     def run_small(self, seed=16):
@@ -243,6 +303,13 @@ class TestConfigFile:
         assert cfg.trigger_coords == (1, 2)
         assert cfg.pgd_delta == 0.5
         assert cfg.seed == 9
+
+    def test_none_unsets_only_optional_keys(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("attack = none\npgd_delta = none\ndata_csv =\n")
+        cfg = SimConfig.from_file(path)
+        assert cfg.attack == "none"
+        assert cfg.pgd_delta is None and cfg.data_csv is None
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
