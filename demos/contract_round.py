@@ -1,8 +1,8 @@
 """The simulated contract's mechanics: store, queue, trust, events.
 
 Shows a full submission/verification/aggregation cycle at the ledger level,
-including what happens when stored bytes are tampered with and when every
-queued submission ends up with zero weight.
+including what happens when stored bytes are tampered with, before submission
+or while queued, and when every queued submission ends up with zero weight.
 """
 
 import numpy as np
@@ -56,6 +56,22 @@ try:
     ledger.submit(state, store, submission(0, victim))
 except IntegrityError as exc:
     print(f"  rejected: {exc}")
+
+print("\naltering a queued blob after submission makes the contract refuse to aggregate:")
+for cid, model in enumerate(models):
+    store.put(nn.to_bytes(model))
+    ledger.submit(state, store, submission(cid, model))
+queued = model_digest(models[1])
+blob = bytearray(store._blobs[queued])
+blob[20] ^= 0xFF
+store._blobs[queued] = bytes(blob)
+before = state.global_model_digest
+try:
+    ledger.aggregate(state, trust, store)
+except IntegrityError as exc:
+    print(f"  refused: {exc}")
+print(f"  digest unchanged: {state.global_model_digest == before}; "
+      f"queue still holds {len(state.queue)}")
 
 print("\nif every queued submission has zero trust, the global model freezes:")
 state2 = ledger.ContractState(2, store.put(nn.to_bytes(global_model)))

@@ -33,7 +33,6 @@ __all__ = [
     "eval_ba",
     "eval_detection",
     "emit",
-    "time_verify_cost",
 ]
 
 
@@ -370,8 +369,7 @@ def run(cfg: SimConfig) -> RunResult:
             submissions[cid] = sub
 
         if cfg.defense_enabled:
-            mset = ledger.select_verification_set(state, trust, cfg.verify_set_size,
-                                                  derive_seed(master, "round", t, "mset"))
+            mset = ledger.select_verification_set(state)
             verifiers = ledger.select_verifiers(state, trust, cfg.n_verifiers, cfg.verifier_policy,
                                                 derive_seed(master, "round", t, "verifiers"),
                                                 open_pool=verifier_pool)
@@ -402,12 +400,10 @@ def run(cfg: SimConfig) -> RunResult:
                 for report in due:
                     for cid in sorted(report.scores):
                         trust.update(cid, report.scores[cid])
-            try:
-                global_model = ledger.aggregate(state, trust, store)
-            except DegenerateAggregationError:
-                pass  # keep the previous global model
-        else:
-            global_model = ledger.fedavg_aggregate(state, store)
+        try:
+            global_model = ledger.aggregate(state, trust, store)
+        except DegenerateAggregationError:
+            pass  # keep the previous global model
 
         ma = eval_ma(global_model, test)
         ba = eval_ba(global_model, triggered, cfg.target_class) if len(triggered) else 0.0
@@ -460,28 +456,3 @@ def emit(result: RunResult, out_dir) -> dict:
     events_path.write_text("\n".join(ledger.export_events(result.state)) + "\n")
     return {"metrics": csv_path, "summary": summary_path, "events": events_path}
 
-
-def time_verify_cost(task_size: int, repeats: int = 50, seed: int = 0) -> float:
-    """Mean seconds to verify one task of ``task_size`` synthetic clients.
-
-    Used to check that per-verifier cost scales with the subset size rather
-    than with the whole verification set.
-    """
-    rng = np.random.default_rng(seed)
-    n_classes, width = 5, 32
-    members = []
-    for cid in range(task_size):
-        members.append(defense.TaskClient(
-            client_id=cid,
-            du=rng.standard_normal((n_classes, width)),
-            db=rng.standard_normal(n_classes),
-            data_size=200,
-            u_local=rng.standard_normal((n_classes, width)),
-        ))
-    trust_map = {cid: 1.0 for cid in range(task_size)}
-    task = defense.VerificationTask(0, tuple(members), 1, trust_map)
-    defense.verify(task)  # warm up
-    started = time.perf_counter()
-    for _ in range(repeats):
-        defense.verify(task)
-    return (time.perf_counter() - started) / repeats

@@ -2,9 +2,13 @@
 
 The contract itself never sees raw models, only content hashes.  Model bytes
 live in the off-chain store and every fetch re-hashes the blob, so a single
-flipped byte surfaces as an integrity failure.  Trust scores are running means
-of per-round verification scores; they weight the global aggregation together
-with each client's data size.
+flipped byte surfaces as an integrity failure.  ``aggregate`` fetches every
+queued blob before it changes any state, so the contract combines only queued
+models whose stored bytes still hash to their digests.  Trust scores are
+running means of per-round verification scores; they weight the aggregation
+together with each client's data size.  An undefended run is ``aggregate``
+over a ledger that never receives a score, where every trust is exactly 1.
+The verification set is the queue.
 """
 
 import json
@@ -20,7 +24,7 @@ from .errors import (
     IntegrityError,
     RegistryError,
 )
-from .hashing import blob_digest, model_digest
+from .hashing import blob_digest
 
 __all__ = [
     "MODEL_SUBMITTED",
@@ -36,7 +40,6 @@ __all__ = [
     "ContractState",
     "submit",
     "aggregate",
-    "fedavg_aggregate",
     "select_verification_set",
     "select_verifiers",
     "export_events",
@@ -151,22 +154,39 @@ def submit(state: ContractState, store: OffchainStore, sub: Submission):
     """Queue a submission after checking its stored bytes against the digest."""
     if len(state.queue) >= state.queue_capacity:
         raise DomainError("aggregation queue is full; aggregate before submitting")
-    blob = store.fetch(sub.model_digest)
-    if blob_digest(blob) != sub.model_digest:
-        raise IntegrityError("submission digest does not match stored bytes")
+    store.fetch(sub.model_digest)
     state.queue.append(sub)
     state.log(MODEL_SUBMITTED, client_id=sub.client_id, digest=sub.model_digest)
     if len(state.queue) == state.queue_capacity:
         state.log(QUEUE_FULL)
 
 
-def _weighted_mean(submissions, weights) -> nn.ModelParams:
+def aggregate(state: ContractState, ledger: TrustLedger, store: OffchainStore) -> nn.ModelParams:
+    """Replace the global model by the trust-and-size weighted mean of the queue.
+
+    Every queued blob is fetched first, so a missing or altered blob raises
+    ``IntegrityError`` with the queue, the global digest and the event log
+    untouched.  The in-memory models are then combined: a ``Submission``
+    checks that its read-only model hashes to its digest.  Weights are
+    normalized before combining, so scaling every weight by the same constant
+    cannot change the result.  If every weight is zero the queue is dropped,
+    the previous global model stands, and the caller is told.
+    """
+    if len(state.queue) != state.queue_capacity:
+        raise DomainError(
+            f"queue holds {len(state.queue)} of {state.queue_capacity} submissions"
+        )
+    for sub in state.queue:
+        store.fetch(sub.model_digest)
+    weights = [ledger.trust(s.client_id) * s.data_size for s in state.queue]
     total = float(np.sum(weights))
-    coeffs = [float(w) / total for w in weights]
-    return nn.lincomb([s.model for s in submissions], coeffs)
-
-
-def _finish_aggregation(state: ContractState, store: OffchainStore, model: nn.ModelParams) -> nn.ModelParams:
+    if total <= 0.0:
+        state.queue = []
+        state.log(DEGENERATE_AGGREGATION)
+        raise DegenerateAggregationError(
+            "all queued submissions have zero weight; global model unchanged"
+        )
+    model = nn.lincomb([s.model for s in state.queue], [w / total for w in weights])
     digest = store.put(nn.to_bytes(model))
     state.global_model_digest = digest
     state.queue = []
@@ -174,55 +194,9 @@ def _finish_aggregation(state: ContractState, store: OffchainStore, model: nn.Mo
     return model
 
 
-def aggregate(state: ContractState, ledger: TrustLedger, store: OffchainStore) -> nn.ModelParams:
-    """Replace the global model by the trust-and-size weighted mean of the queue.
-
-    Weights are normalized before combining, so scaling every weight by the
-    same constant cannot change the result.  If every weight is zero the queue
-    is dropped, the previous global model stands, and the caller is told.
-    """
-    if len(state.queue) != state.queue_capacity:
-        raise DomainError(
-            f"queue holds {len(state.queue)} of {state.queue_capacity} submissions"
-        )
-    weights = [ledger.trust(s.client_id) * s.data_size for s in state.queue]
-    if sum(weights) <= 0.0:
-        state.queue = []
-        state.log(DEGENERATE_AGGREGATION)
-        raise DegenerateAggregationError(
-            "all queued submissions have zero weight; global model unchanged"
-        )
-    return _finish_aggregation(state, store, _weighted_mean(state.queue, weights))
-
-
-def fedavg_aggregate(state: ContractState, store: OffchainStore) -> nn.ModelParams:
-    """Undefended baseline: aggregate with every trust score forced to 1."""
-    if len(state.queue) != state.queue_capacity:
-        raise DomainError(
-            f"queue holds {len(state.queue)} of {state.queue_capacity} submissions"
-        )
-    weights = [1.0 * s.data_size for s in state.queue]
-    if sum(weights) <= 0.0:
-        state.queue = []
-        state.log(DEGENERATE_AGGREGATION)
-        raise DegenerateAggregationError("all queued submissions have zero weight")
-    return _finish_aggregation(state, store, _weighted_mean(state.queue, weights))
-
-
-def select_verification_set(state: ContractState, ledger: TrustLedger, m: int, seed: int) -> frozenset:
-    """Pick the clients to verify this round.
-
-    Default policy: when ``m`` equals the queue size, verify exactly the
-    queued submitters; otherwise draw ``m`` registered clients uniformly.
-    """
-    population = ledger.clients()
-    if m < 1 or m > len(population):
-        raise DomainError(f"verification set size {m} out of range")
-    if state.queue and m == len(state.queue):
-        chosen = frozenset(s.client_id for s in state.queue)
-    else:
-        rng = np.random.default_rng(seed)
-        chosen = frozenset(int(c) for c in rng.choice(population, size=m, replace=False))
+def select_verification_set(state: ContractState) -> frozenset:
+    """Mark the queued submitters as this round's verification set."""
+    chosen = frozenset(s.client_id for s in state.queue)
     state.verification_set = chosen
     state.log(VERIFICATION_REQUESTED)
     return chosen

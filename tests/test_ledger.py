@@ -32,6 +32,12 @@ def fresh_contract(capacity, model=None):
     return state, store
 
 
+def unscored_ledger(n):
+    tl = ledger.TrustLedger()
+    tl.register(range(n))
+    return tl
+
+
 def submit_models(state, store, models, sizes=None):
     sizes = sizes or [10] * len(models)
     subs = []
@@ -183,12 +189,14 @@ class TestAggregate:
         models = [constant_model(v) for v in (0.1, 2.3, -0.7)]
         tl = ledger.TrustLedger()
         tl.register([0, 1, 2])
+        for cid in (0, 1, 2):
+            tl.update(cid, 1.0)
         state1, store1 = fresh_contract(3)
         submit_models(state1, store1, models, sizes=[5, 9, 2])
         trusted = ledger.aggregate(state1, tl, store1)
         state2, store2 = fresh_contract(3)
         submit_models(state2, store2, models, sizes=[5, 9, 2])
-        plain = ledger.fedavg_aggregate(state2, store2)
+        plain = ledger.aggregate(state2, unscored_ledger(3), store2)
         assert nn.to_bytes(trusted) == nn.to_bytes(plain)
 
     def test_model_replacement_dominates_fedavg(self):
@@ -198,13 +206,13 @@ class TestAggregate:
         boosted = clients.model_replace(local, g, float(k))
         state, store = fresh_contract(k, model=g)
         submit_models(state, store, [boosted] + [g] * (k - 1))
-        out = ledger.fedavg_aggregate(state, store)
+        out = ledger.aggregate(state, unscored_ledger(k), store)
         assert np.allclose(nn.flatten(out), nn.flatten(local), atol=1e-9)
 
     def test_single_model_queue(self):
         state, store = fresh_contract(1)
         submit_models(state, store, [constant_model(4.2)])
-        out = ledger.fedavg_aggregate(state, store)
+        out = ledger.aggregate(state, unscored_ledger(1), store)
         assert np.allclose(nn.flatten(out), 4.2, atol=1e-12)
 
     def test_partial_queue_rejected(self):
@@ -232,48 +240,41 @@ class TestAggregate:
     def test_digest_matches_stored_global_after_update(self):
         state, store = fresh_contract(2)
         submit_models(state, store, [constant_model(1.0), constant_model(2.0)])
-        out = ledger.fedavg_aggregate(state, store)
+        out = ledger.aggregate(state, unscored_ledger(2), store)
         blob = store.fetch(state.global_model_digest)
         assert blob == nn.to_bytes(out)
         updated = [e for e in state.events if e.kind == ledger.GLOBAL_UPDATED]
         assert updated[-1].digest == state.global_model_digest
 
+    def assert_refused_unchanged(self, state, store):
+        before = (state.global_model_digest, list(state.queue), list(state.events))
+        with pytest.raises(IntegrityError):
+            ledger.aggregate(state, unscored_ledger(2), store)
+        assert (state.global_model_digest, state.queue, state.events) == before
+
+    def test_blob_altered_after_submit_refused(self):
+        state, store = fresh_contract(2)
+        subs = submit_models(state, store, [constant_model(1.0), constant_model(2.0)])
+        digest = subs[1].model_digest
+        blob = bytearray(store._blobs[digest])
+        blob[-1] ^= 0xFF
+        store._blobs[digest] = bytes(blob)
+        self.assert_refused_unchanged(state, store)
+
+    def test_blob_deleted_after_submit_refused(self):
+        state, store = fresh_contract(2)
+        subs = submit_models(state, store, [constant_model(1.0), constant_model(2.0)])
+        del store._blobs[subs[0].model_digest]
+        self.assert_refused_unchanged(state, store)
+
 
 class TestVerificationSelection:
-    def registered(self, n):
-        tl = ledger.TrustLedger()
-        tl.register(range(n))
-        return tl
-
-    def test_all_clients_when_m_equals_population(self):
-        state, _ = fresh_contract(3)
-        tl = self.registered(6)
-        chosen = ledger.select_verification_set(state, tl, 6, seed=1)
-        assert chosen == frozenset(range(6))
-
     def test_queue_selected_when_m_equals_queue_size(self):
         state, store = fresh_contract(3)
         submit_models(state, store, [constant_model(i) for i in range(3)])
-        tl = self.registered(10)
-        chosen = ledger.select_verification_set(state, tl, 3, seed=2)
+        chosen = ledger.select_verification_set(state)
         assert chosen == frozenset([0, 1, 2])
         assert state.verification_set == chosen
-
-    def test_random_selection_seeded(self):
-        state, _ = fresh_contract(5)
-        tl = self.registered(200)
-        a = ledger.select_verification_set(state, tl, 30, seed=3)
-        b = ledger.select_verification_set(state, tl, 30, seed=3)
-        c = ledger.select_verification_set(state, tl, 30, seed=4)
-        assert a == b
-        assert a != c
-        assert len(a) == 30
-
-    def test_oversized_m_rejected(self):
-        state, _ = fresh_contract(2)
-        tl = self.registered(4)
-        with pytest.raises(DomainError):
-            ledger.select_verification_set(state, tl, 5, seed=0)
 
 
 class TestVerifierSelection:
@@ -331,6 +332,6 @@ class TestEvents:
         def build():
             state, store = fresh_contract(2)
             submit_models(state, store, [constant_model(1.0), constant_model(2.0)])
-            ledger.fedavg_aggregate(state, store)
+            ledger.aggregate(state, unscored_ledger(2), store)
             return ledger.export_events(state)
         assert build() == build()
