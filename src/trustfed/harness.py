@@ -400,10 +400,15 @@ def run(cfg: SimConfig) -> RunResult:
                 for report in due:
                     for cid in sorted(report.scores):
                         trust.update(cid, report.scores[cid])
+        spent = {sub.model_digest for sub in state.queue}
+        spent.add(state.global_model_digest)
         try:
             global_model = ledger.aggregate(state, trust, store)
         except DegenerateAggregationError:
             pass  # keep the previous global model
+        # Nothing reads an aggregated queue's blobs or a replaced global model
+        # again.  A submission may share the new global model's digest.
+        store.discard(spent - {state.global_model_digest})
 
         ma = eval_ma(global_model, test)
         ba = eval_ba(global_model, triggered, cfg.target_class) if len(triggered) else 0.0

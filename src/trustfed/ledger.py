@@ -83,6 +83,11 @@ class OffchainStore:
             raise IntegrityError(f"stored bytes do not hash to {digest[:12]}...")
         return blob
 
+    def discard(self, digests) -> None:
+        """Drop the blobs stored under ``digests``; unknown digests are ignored."""
+        for digest in digests:
+            self._blobs.pop(digest, None)
+
     def __contains__(self, digest: str) -> bool:
         return digest in self._blobs
 

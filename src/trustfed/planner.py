@@ -8,15 +8,25 @@ once at the end.
 
 ``mc_coverage`` is the independent check: it repeatedly draws uniform
 fixed-size subsets until the whole client set is covered and reports the
-empirical draw-count distribution.  ``coverage_report`` compares the two and
-flags any disagreement beyond three standard errors instead of hiding it; in
+empirical draw-count distribution.  Planning the subset size for v verifiers
+needs only the probability that v draws cover, for every subset size, so
+those simulations stop after v draws and run on a thread pool, one task per
+subset size with its own derived seed, summed in order of size.  Each
+draw's keys come in fixed blocks of rows; that is the same random stream as
+drawing them at once, and the first v draws are the same either way, so the
+report is bit-identical to summing over full ``mc_coverage`` runs.
+
+``coverage_report`` compares the closed forms with the oracle and flags any
+disagreement beyond three standard errors instead of hiding it; in
 particular the closed-form ``expected_L`` sum starts one unit below the
 simulated mean minimal subset size (its first, always-certain term is not part
 of the sum), and the report says so rather than papering over it.
 """
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 
 import numpy as np
@@ -104,6 +114,9 @@ class CoverageEstimate:
         return float(np.sqrt(p * (1.0 - p) / self.trials))
 
 
+_KEY_ROWS = 2048   # rows of random keys drawn per block in _mc_subsets
+
+
 def _mc_single_item(m: int, trials: int, rng) -> np.ndarray:
     # Single-item draws are the classic coupon collector: the waiting time is
     # an exact sum of independent geometrics, no simulation loop needed.
@@ -113,19 +126,30 @@ def _mc_single_item(m: int, trials: int, rng) -> np.ndarray:
     return draws
 
 
-def _mc_subsets(m: int, subset_size: int, trials: int, rng) -> np.ndarray:
-    draws = np.zeros(trials, dtype=np.int64)
+def _mc_subsets(m: int, subset_size: int, trials: int, rng, limit: int = None) -> np.ndarray:
+    # With a ``limit``, trials still uncovered after that many draws stop
+    # there and report ``limit + 1``; the first ``limit`` draws are the same
+    # either way.  Only the coverage rows of uncovered trials are kept.  Each
+    # draw's keys come in blocks of rows through one reused buffer, the same
+    # row-major stream as drawing them all at once in far less memory.
+    draws = np.full(trials, 0 if limit is None else limit + 1, dtype=np.int64)
     covered = np.zeros((trials, m), dtype=bool)
     active = np.arange(trials)
+    keys = np.empty((min(trials, _KEY_ROWS), m))
     step = 0
-    while active.size:
+    while active.size and (limit is None or step < limit):
         step += 1
-        keys = rng.random((active.size, m))
-        picks = np.argpartition(keys, subset_size - 1, axis=1)[:, :subset_size]
-        covered[np.repeat(active, subset_size), picks.ravel()] = True
-        done = covered[active].all(axis=1)
-        draws[active[done]] = step
-        active = active[~done]
+        for lo in range(0, active.size, _KEY_ROWS):
+            block = keys[:min(_KEY_ROWS, active.size - lo)]
+            rng.random(out=block)
+            picks = np.argpartition(block, subset_size - 1, axis=1)[:, :subset_size]
+            np.put_along_axis(covered[lo:lo + len(block)], picks, True, axis=1)
+        done = covered.all(axis=1)
+        if done.any():
+            draws[active[done]] = step
+            keep = ~done
+            active = active[keep]
+            covered = covered[keep]
     return draws
 
 
@@ -144,21 +168,42 @@ def mc_coverage(m: int, subset_size: int, trials: int, seed: int) -> CoverageEst
     return CoverageEstimate(m, subset_size, draws)
 
 
+def _p_miss(m: int, subset_size: int, v: int, trials: int, seed: int) -> float:
+    # Share of trials that v draws of this size leave uncovered; the same
+    # value as ``1 - mc_coverage(...).prob_covered(v)``, simulating no further
+    # than v draws.  Fewer than m picks in all can never cover the m-set.
+    if subset_size * v < m:
+        return 1.0
+    rng = np.random.default_rng(seed)
+    if subset_size == 1:
+        draws = _mc_single_item(m, trials, rng)
+    else:
+        draws = _mc_subsets(m, subset_size, trials, rng, limit=v)
+    return 1.0 - float((draws <= v).mean())
+
+
 def mc_mean_covering_subset_size(m: int, v: int, trials: int, seed: int):
     """Monte Carlo estimate of the mean minimal subset size that covers m.
 
     Uses the tail-sum identity: the mean equals one plus, for every subset
     size l >= 1, the probability that v draws of size l miss someone.  Each
-    term is estimated from an independent simulation.
+    term is estimated from an independent simulation with its own derived
+    seed, so the terms run on a thread pool as wide as the machine and are
+    summed in order of l.
 
     Returns (estimate, standard error).
     """
     _check_positive(m=m, v=v, trials=trials)
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = range(1, m)
+    seeds = [derive_seed(seed, "size", l) for l in sizes]
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=workers or 1) as pool:
+        p_misses = list(pool.map(_p_miss, repeat(m), sizes, repeat(v), repeat(trials), seeds))
     total = 1.0
     var = 0.0
-    for l in range(1, m):
-        est = mc_coverage(m, l, trials, derive_seed(seed, "size", l))
-        p_miss = 1.0 - est.prob_covered(v)
+    for p_miss in p_misses:
         total += p_miss
         var += p_miss * (1.0 - p_miss) / trials
     return total, float(np.sqrt(var))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 
@@ -107,3 +108,11 @@ class TestPlanCommand:
 
     def test_plan_rejects_bad_domain(self):
         assert cli.main(["plan", "--M", "4", "--L", "9"]) == cli.EXIT_CONFIG
+
+    def test_plan_rejects_bad_counts_before_simulating(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        assert cli.main(["plan", "--M", "30", "--V", "0"]) == cli.EXIT_CONFIG
+        assert cli.main(["plan", "--M", "30", "--V", "15", "--trials", "0"]) == cli.EXIT_CONFIG

@@ -13,7 +13,7 @@ import trustfed
 from trustfed import defense, harness, ledger, nn
 from trustfed.clients import ClientProfile, local_round
 from trustfed.data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, partition_non_iid, triggered_testset
-from trustfed.errors import ConfigError, DomainError
+from trustfed.errors import ConfigError, DegenerateAggregationError, DomainError
 from trustfed.harness import (
     RoundMetrics,
     SimConfig,
@@ -192,6 +192,28 @@ class TestRun:
         with pytest.raises(ConfigError):
             SimConfig(bad_verifier_fraction=1.0, attacker_ratio=0.25).validate()
         SimConfig(bad_verifier_fraction=1.0, attacker_ratio=1.0).validate()
+
+    def test_store_holds_one_queue_and_the_global_model(self, monkeypatch):
+        # Aggregated blobs and replaced global models are evicted every round,
+        # also when a zero-weight queue is dropped (forced here in round 2).
+        held, stores = [], []
+        real_aggregate = ledger.aggregate
+
+        def aggregate(state, trust, store):
+            held.append(len(store._blobs))
+            stores.append(store)
+            if state.round_counter == 2:
+                state.queue = []
+                raise DegenerateAggregationError("forced")
+            return real_aggregate(state, trust, store)
+
+        monkeypatch.setattr(ledger, "aggregate", aggregate)
+        cfg = SimConfig(**dict(FAST, rounds=4), seed=5)
+        result = run(cfg)
+        assert len(held) == cfg.rounds
+        assert all(n <= cfg.queue_size + 1 for n in held)
+        assert set(stores[0]._blobs) == {result.state.global_model_digest}
+        stores[0].fetch(result.state.global_model_digest)
 
 
 class TestWarmStartMemo:

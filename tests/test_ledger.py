@@ -129,6 +129,15 @@ class TestSubmitAndStore:
         assert store.fetch(digest) == blob
         assert digest in store
 
+    def test_store_discard(self):
+        store = ledger.OffchainStore()
+        kept, dropped = store.put(b"kept"), store.put(b"dropped")
+        store.discard([dropped, "0" * 64])
+        assert dropped not in store
+        assert store.fetch(kept) == b"kept"
+        with pytest.raises(IntegrityError):
+            store.fetch(dropped)
+
 
 class TestAggregate:
     def test_equal_weights_average(self):

@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,3 +141,95 @@ class TestCoverageReport:
             planner.coverage_report(5, v=2, subset_size=2)
         with pytest.raises(DomainError):
             planner.coverage_report(5)
+
+
+def _reference_subsets(m, subset_size, trials, rng):
+    # The plain draw-until-covered loop: all keys of a draw at once, and the
+    # coverage of every trial kept to the end.
+    draws = np.zeros(trials, dtype=np.int64)
+    covered = np.zeros((trials, m), dtype=bool)
+    active = np.arange(trials)
+    step = 0
+    while active.size:
+        step += 1
+        keys = rng.random((active.size, m))
+        picks = np.argpartition(keys, subset_size - 1, axis=1)[:, :subset_size]
+        covered[np.repeat(active, subset_size), picks.ravel()] = True
+        done = covered[active].all(axis=1)
+        draws[active[done]] = step
+        active = active[~done]
+    return draws
+
+
+def _reference_tail_sum(m, v, trials, seed):
+    total, var = 1.0, 0.0
+    for l in range(1, m):
+        est = planner.mc_coverage(m, l, trials, derive_seed(seed, "size", l))
+        p_miss = 1.0 - est.prob_covered(v)
+        total += p_miss
+        var += p_miss * (1.0 - p_miss) / trials
+    return total, float(np.sqrt(var))
+
+
+class TestSubsetSizeOracle:
+    # 5000 trials span three blocks of keys.
+    @pytest.mark.parametrize("limit", [None, 1, 4, 9, 1000])
+    def test_capped_draws_are_the_reference_draws_clipped(self, limit):
+        full = _reference_subsets(9, 3, 5000, np.random.default_rng(11))
+        capped = planner._mc_subsets(9, 3, 5000, np.random.default_rng(11), limit=limit)
+        expected = full if limit is None else np.minimum(full, limit + 1)
+        assert np.array_equal(capped, expected)
+
+    # (12, 3) and (6, 2) include sizes l with l * v < m, which never cover;
+    # (20, 20) runs the single-item path.
+    @pytest.mark.parametrize("m, v", [(6, 2), (12, 3), (20, 20), (30, 15)])
+    def test_equals_reference_sum_over_mc_coverage(self, m, v):
+        got = planner.mc_mean_covering_subset_size(m, v, 3000, seed=7)
+        assert got == _reference_tail_sum(m, v, 3000, 7)
+
+
+# Every numeric field of coverage_report, as float.hex, for both planning
+# modes at a few population sizes and seeds.  Speed-ups of the oracle must
+# reproduce these bit for bit.  Re-record (only when the oracle's draws are
+# meant to change) with ``PYTHONPATH=src python tests/test_planner.py``.
+REPORT_FIXTURE = Path(__file__).with_name("planner_reports.json")
+REPORT_TRIALS = 2500   # more than one block of keys in _mc_subsets
+REPORT_TARGETS = ((5, 3, 2), (10, 4, 3), (30, 15, 7), (70, 15, 10))   # (m, v, subset_size)
+
+
+def _report_cases():
+    cases = {}
+    for m, v, subset_size in REPORT_TARGETS:
+        for seed in (0, 41):
+            cases[f"M{m}-V{v}-seed{seed}"] = dict(m=m, v=v, seed=seed)
+            cases[f"M{m}-L{subset_size}-seed{seed}"] = dict(m=m, subset_size=subset_size, seed=seed)
+    return cases
+
+
+REPORT_CASES = _report_cases()
+
+
+def observe_report(kwargs) -> dict:
+    report = planner.coverage_report(trials=REPORT_TRIALS, **kwargs)
+    return {key: float(value).hex() if isinstance(value, (int, float)) else value
+            for key, value in report.items()}
+
+
+@pytest.fixture(scope="module")
+def recorded_reports():
+    return json.loads(REPORT_FIXTURE.read_text())
+
+
+class TestReportFixture:
+    def test_fixture_covers_every_case(self, recorded_reports):
+        assert sorted(recorded_reports) == sorted(REPORT_CASES)
+
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_report_matches_fixture(self, case, recorded_reports):
+        assert observe_report(REPORT_CASES[case]) == recorded_reports[case]
+
+
+if __name__ == "__main__":
+    REPORT_FIXTURE.write_text(json.dumps(
+        {name: observe_report(kwargs) for name, kwargs in sorted(REPORT_CASES.items())},
+        indent=1, sort_keys=True) + "\n")
