@@ -224,8 +224,14 @@ def triggered_testset(data: Dataset, spec: PoisonSpec) -> Dataset:
 
 
 def load_csv(path, n_classes: int = None) -> Dataset:
-    """Read samples from CSV rows of ``d`` feature columns plus an integer label."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read samples from CSV rows of ``d`` feature columns plus an integer label.
+
+    A header row, a non-numeric cell or a ragged row raises ``DomainError``.
+    """
+    try:
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"malformed CSV {path}: {exc}") from exc
     if raw.size == 0 or raw.shape[1] < 2:
         raise DomainError("CSV needs at least one feature column and a label column")
     x = raw[:, :-1]

@@ -224,21 +224,36 @@ def eval_detection(queue_client_ids, trust_ledger: ledger.TrustLedger, attacker_
     return tpr, tnr
 
 
-def _load_data(cfg: SimConfig):
-    if cfg.data_csv is not None:
-        full = load_csv(cfg.data_csv)
-        rng = np.random.default_rng(derive_seed(cfg.seed, "csv_split"))
-        order = rng.permutation(len(full))
-        n_test = max(1, int(round(cfg.test_fraction * len(full))))
-        test = full.subset(order[:n_test])
-        pool = full.subset(order[n_test:])
-        return pool, test
-    pool_size = int(math.ceil(cfg.pool_factor * cfg.n_clients * cfg.per_client_size))
-    pool = gen_dataset(pool_size, cfg.n_classes, cfg.n_features,
-                       derive_seed(cfg.seed, "trainpool"), cfg.data_separation)
-    test = gen_dataset(cfg.test_size, cfg.n_classes, cfg.n_features,
-                       derive_seed(cfg.seed, "test"), cfg.data_separation)
-    return pool, test
+def _load_csv_data(cfg: SimConfig):
+    """Client partitions and test set from ``cfg.data_csv``, read afresh every run."""
+    full = load_csv(cfg.data_csv)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "csv_split"))
+    order = rng.permutation(len(full))
+    n_test = max(1, int(round(cfg.test_fraction * len(full))))
+    test = full.subset(order[:n_test])
+    parts = partition_non_iid(full.subset(order[n_test:]), PartitionSpec(
+        cfg.n_clients, cfg.non_iid_degree, cfg.per_client_size,
+        derive_seed(cfg.seed, "partition")))
+    return tuple(parts), test
+
+
+@functools.lru_cache(maxsize=4)
+def _synthetic_data(master, n_clients, non_iid_degree, per_client_size, pool_factor,
+                    n_classes, n_features, data_separation, test_size):
+    """Seeded client partitions and test set, memoized per process.
+
+    Returns ``(parts, test)``: a tuple of per-client ``Dataset``s and the test
+    ``Dataset``, all read-only, so runs in one process (an attack sweep at
+    one seed) share them.  The pool the partitions are cut from is not kept.
+    """
+    pool_size = int(math.ceil(pool_factor * n_clients * per_client_size))
+    pool = gen_dataset(pool_size, n_classes, n_features,
+                       derive_seed(master, "trainpool"), data_separation)
+    test = gen_dataset(test_size, n_classes, n_features,
+                       derive_seed(master, "test"), data_separation)
+    parts = partition_non_iid(pool, PartitionSpec(
+        n_clients, non_iid_degree, per_client_size, derive_seed(master, "partition")))
+    return tuple(parts), test
 
 
 def _attacker_count(cfg: SimConfig) -> int:
@@ -318,10 +333,12 @@ def run(cfg: SimConfig) -> RunResult:
     """Execute the configured number of rounds and collect per-round metrics."""
     cfg.validate()
     master = cfg.seed
-    pool, test = _load_data(cfg)
-    parts = partition_non_iid(pool, PartitionSpec(
-        cfg.n_clients, cfg.non_iid_degree, cfg.per_client_size,
-        derive_seed(master, "partition")))
+    if cfg.data_csv is not None:
+        parts, test = _load_csv_data(cfg)
+    else:
+        parts, test = _synthetic_data(master, cfg.n_clients, cfg.non_iid_degree,
+                                      cfg.per_client_size, cfg.pool_factor, cfg.n_classes,
+                                      cfg.n_features, cfg.data_separation, cfg.test_size)
     attackers = _pick_attackers(cfg)
     verifier_pool, bad_verifiers = _verifier_population(cfg, attackers)
     poison_spec = PoisonSpec(cfg.target_class, cfg.trigger_coords, cfg.trigger_value,
@@ -353,7 +370,6 @@ def run(cfg: SimConfig) -> RunResult:
 
     metrics = []
     pending_reports = []   # (apply_at_round, reports) when verify_lag > 0
-    benign_zero_rounds = []
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
         state.round_counter = t
@@ -374,7 +390,6 @@ def run(cfg: SimConfig) -> RunResult:
                                                 derive_seed(master, "round", t, "verifiers"),
                                                 open_pool=verifier_pool)
             reports = []
-            saw_benign_zero = False
             if verifiers:
                 assignment = defense.assign_clients_to_verifiers(
                     mset, verifiers, cfg.verify_subset_size,
@@ -384,8 +399,6 @@ def run(cfg: SimConfig) -> RunResult:
                     task = defense.make_task(vid, [submissions[c] for c in assignment[vid]],
                                              global_model, cfg.learning_rate, snapshot, t)
                     report = defense.verify(task)
-                    saw_benign_zero = saw_benign_zero or any(
-                        s == 0.0 and cid not in attackers for cid, s in report.scores.items())
                     if cfg.force_unit_scores:
                         report = defense.ScoreReport(vid, {c: 1.0 for c in report.scores}, t)
                     elif vid in bad_verifiers:
@@ -393,7 +406,6 @@ def run(cfg: SimConfig) -> RunResult:
                                                         derive_seed(master, "round", t, "corrupt", vid))
                     state.log(ledger.SCORES_RECEIVED, client_id=vid)
                     reports.append(report)
-            benign_zero_rounds.append(saw_benign_zero)
             pending_reports.append((t + cfg.verify_lag, reports))
             while pending_reports and pending_reports[0][0] <= t:
                 _, due = pending_reports.pop(0)
@@ -430,7 +442,6 @@ def run(cfg: SimConfig) -> RunResult:
         "bad_verifiers": sorted(bad_verifiers),
     }
     diagnostics = {
-        "benign_zero_rounds": benign_zero_rounds,
         "attackers": attackers,
         "bad_verifiers": bad_verifiers,
         "attack_params": attack_params,

@@ -165,14 +165,39 @@ def init_mlp(n_features: int, hidden_width: int, n_classes: int, seed: int) -> M
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of the logits ``z``, computed in place; returns ``z``.
+
+    The row max is taken one class column at a time with ``np.maximum``,
+    which is exact in any order and far cheaper on narrow rows than
+    ``max(axis=-1)``.  The row sum stays ``sum(axis=-1)``: a column-by-column
+    sum would match it bit for bit only below 8 classes, where numpy's
+    reduction is still a plain running sum rather than a pairwise one.
+    """
+    top = z[..., 0].copy()
+    for c in range(1, z.shape[-1]):
+        np.maximum(top, z[..., c], out=top)
+    z -= top[..., None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _raw(model: ModelParams):
     """The model's weight matrices and bias vectors as two lists."""
     return [layer.weights for layer in model.layers], [layer.bias for layer in model.layers]
+
+
+def _views(flat: np.ndarray, model: ModelParams):
+    """Per-layer weight and bias views into a flat vector laid out like ``flatten(model)``."""
+    weights, biases = [], []
+    offset = 0
+    for layer in model.layers:
+        out_dim, in_dim = layer.weights.shape
+        weights.append(flat[offset : offset + out_dim * in_dim].reshape(out_dim, in_dim))
+        offset += out_dim * in_dim
+        biases.append(flat[offset : offset + out_dim])
+        offset += out_dim
+    return weights, biases
 
 
 def _check_batch(model: ModelParams, x) -> np.ndarray:
@@ -184,34 +209,40 @@ def _check_batch(model: ModelParams, x) -> np.ndarray:
     return x
 
 
+def _onehot(model: ModelParams, y: np.ndarray) -> np.ndarray:
+    return np.eye(model.n_classes)[y]
+
+
 def _forward_raw(weights, biases, x: np.ndarray):
     """Return (activations per layer incl. input, probabilities)."""
     acts = [x]
-    h = x
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w.T + b
+        z = acts[-1] @ w.T
+        z += b
         if k < last:
-            h = np.maximum(z, 0.0)
-            acts.append(h)
+            np.maximum(z, 0.0, out=z)
+            acts.append(z)
     return acts, _softmax(z)
 
 
-def _grads_raw(weights, biases, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy gradient per layer, as (weight grads, bias grads)."""
+def _grads_raw(weights, biases, x: np.ndarray, onehot: np.ndarray, grad_w, grad_b):
+    """Write the mean cross-entropy gradient of each layer into ``grad_w``/``grad_b``.
+
+    ``onehot`` holds the labels as one-hot rows.  Subtracting it changes only
+    the label entries (``p - 0.0`` is ``p`` exactly), so this is the textbook
+    ``p[i, y_i] -= 1`` without a fancy-index write.
+    """
     # The softmax output is a fresh array, so it becomes the error term in place.
     acts, delta = _forward_raw(weights, biases, x)
-    n = y.size
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grad_w = [None] * len(weights)
-    grad_b = [None] * len(weights)
+    delta -= onehot
+    delta /= x.shape[0]
     for k in range(len(weights) - 1, -1, -1):
-        grad_w[k] = delta.T @ acts[k]
-        grad_b[k] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[k], out=grad_w[k])
+        np.add.reduce(delta, axis=0, out=grad_b[k])
         if k > 0:
-            delta = (delta @ weights[k]) * (acts[k] > 0.0)
-    return grad_w, grad_b
+            delta = delta @ weights[k]
+            delta *= acts[k] > 0.0
 
 
 def forward_batch(model: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -244,7 +275,8 @@ def gradients(model: ModelParams, x: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=int)
     if y.size == 0:
         raise DomainError("gradient needs a nonempty sample set")
-    grad_w, grad_b = _grads_raw(*_raw(model), _check_batch(model, x), y)
+    grad_w, grad_b = _views(np.empty_like(flatten(model)), model)
+    _grads_raw(*_raw(model), _check_batch(model, x), _onehot(model, y), grad_w, grad_b)
     return [Layer(w, b) for w, b in zip(grad_w, grad_b)]
 
 
@@ -252,33 +284,38 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
     """Run ``local_epochs`` passes of seeded mini-batch SGD and return the result.
 
     Batches are drawn without replacement from a fresh shuffle each epoch; a
-    batch size larger than the dataset degrades to full-batch steps.  The
-    steps work on plain arrays: inputs are checked once, parameters are
-    checked for finiteness after every epoch, and the result is validated as
-    a new ``ModelParams``.
+    batch size larger than the dataset degrades to full-batch steps.  Every
+    parameter lives in one flat vector and every gradient in another, with a
+    weight and a bias view per layer: the backward pass writes the gradients
+    through those views and a step is two calls on the whole vector,
+    ``grads *= lr`` then ``params -= grads``, which rounds exactly as
+    ``w -= lr * g`` does per layer.  Inputs are checked once, the parameters'
+    finiteness once per epoch, and the result is validated as a new
+    ``ModelParams``.
     """
     x = _check_batch(model, x)
     y = np.asarray(y, dtype=int)
     if y.size == 0:
         raise DomainError("training needs a nonempty sample set")
+    onehot = _onehot(model, y)
     rng = np.random.default_rng(cfg.seed)
-    weights = [layer.weights.copy() for layer in model.layers]
-    biases = [layer.bias.copy() for layer in model.layers]
+    params = flatten(model)
+    grads = np.empty_like(params)
+    weights, biases = _views(params, model)
+    grad_w, grad_b = _views(grads, model)
+    lr = cfg.learning_rate
     n = y.size
     step = min(cfg.batch_size, n)
     for epoch in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, step):
             batch = order[start : start + step]
-            grad_w, grad_b = _grads_raw(weights, biases, x[batch], y[batch])
-            for k in range(len(weights)):
-                weights[k] -= cfg.learning_rate * grad_w[k]
-                biases[k] -= cfg.learning_rate * grad_b[k]
-        for k in range(len(weights)):
-            if not (np.isfinite(weights[k]).all() and np.isfinite(biases[k]).all()):
-                raise NumericalError(
-                    f"non-finite parameters after epoch {epoch} (layer {k})"
-                )
+            _grads_raw(weights, biases, x.take(batch, axis=0), onehot.take(batch, axis=0),
+                       grad_w, grad_b)
+            grads *= lr
+            params -= grads
+        if not np.isfinite(params).all():
+            raise NumericalError(f"non-finite parameters after epoch {epoch}")
     return ModelParams(tuple(Layer(w, b) for w, b in zip(weights, biases)))
 
 

@@ -91,6 +91,27 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
+class TestMalformedCsv:
+    CFG = ("n_clients = 2\nqueue_size = 2\nverify_set_size = 2\nn_verifiers = 1\n"
+           "verify_subset_size = 2\nrounds = 1\nper_client_size = 2\n")
+
+    @pytest.mark.parametrize("text", [
+        "f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n",   # header row
+        "1.0,2.0,0\n3.0,abc,1\n",                 # non-numeric cell
+        "1.0,2.0,0\n3.0,1\n",                     # ragged row
+    ], ids=["header", "non-numeric", "ragged"])
+    def test_exits_with_config_error(self, tmp_path, capsys, text):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(text)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(self.CFG)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--data", str(data_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: malformed CSV" in err and "Traceback" not in err
+
+
 class TestPlanCommand:
     def test_plan_verifier_count(self, capsys):
         assert cli.main(["plan", "--M", "10", "--L", "4", "--trials", "5000"]) == 0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -264,6 +265,94 @@ class TestWarmStartMemo:
         digest, rounds = out.stdout.splitlines()
         assert model_digest(b.final_model) == digest
         assert repr([(m.ma, m.ba, m.tpr, m.tnr) for m in b.metrics]) == rounds
+
+
+def _fresh_process_run(**kwargs):
+    """(final-model digest, repr of per-round metrics) of ``run`` in a new interpreter."""
+    script = (
+        "from trustfed.harness import SimConfig, run\n"
+        "from trustfed.hashing import model_digest\n"
+        f"r = run(SimConfig(**{kwargs!r}))\n"
+        "print(model_digest(r.final_model))\n"
+        "print([(m.ma, m.ba, m.tpr, m.tnr) for m in r.metrics])\n"
+    )
+    src = str(Path(trustfed.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    return tuple(out.stdout.splitlines())
+
+
+def _data_digest(parts, test) -> str:
+    h = hashlib.sha256()
+    for ds in (*parts, test):
+        h.update(ds.x.tobytes())
+        h.update(ds.y.tobytes())
+        h.update(str(ds.n_classes).encode())
+    return h.hexdigest()
+
+
+class TestSyntheticDataMemo:
+    # seed, n_clients, non_iid_degree, per_client_size, pool_factor, n_classes,
+    # n_features, data_separation, test_size
+    BASE = (3, 6, 0.5, 30, 1.6, 3, 6, 5.0, 50)
+    CHANGED = (4, 7, 0.3, 31, 2.0, 4, 7, 4.0, 51)
+
+    def test_every_input_changes_the_data(self):
+        base = _data_digest(*harness._synthetic_data(*self.BASE))
+        for i, value in enumerate(self.CHANGED):
+            args = list(self.BASE)
+            args[i] = value
+            assert _data_digest(*harness._synthetic_data(*args)) != base, f"argument {i}"
+
+    def test_run_passes_its_config_to_the_memo(self, monkeypatch):
+        calls = []
+        real = harness._synthetic_data
+        monkeypatch.setattr(harness, "_synthetic_data", lambda *a: calls.append(a) or real(*a))
+        cfg = SimConfig(seed=23, non_iid_degree=0.4, pool_factor=1.7, data_separation=4.5, **FAST)
+        run(cfg)
+        assert calls == [(23, cfg.n_clients, 0.4, cfg.per_client_size, 1.7, cfg.n_classes,
+                          cfg.n_features, 4.5, cfg.test_size)]
+
+    def test_cached_data_is_shared_and_read_only(self):
+        parts, test = harness._synthetic_data(*self.BASE)
+        assert harness._synthetic_data(*self.BASE)[0] is parts
+        assert harness._synthetic_data(*self.BASE)[1] is test
+        assert isinstance(parts, tuple) and len(parts) == self.BASE[1]
+        for ds in (*parts, test):
+            for arr in (ds.x, ds.y):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    def test_sweep_ordered_run_matches_a_fresh_process(self):
+        # pgd reuses the data (and warm start) that the none runs cached.
+        shared = dict(attacker_ratio=0.25, seed=24, **FAST)
+        run(SimConfig(attack="none", **shared))
+        run(SimConfig(attack="none", defense_enabled=False, **shared))
+        b = run(SimConfig(attack="pgd", **shared))
+        digest, rounds = _fresh_process_run(attack="pgd", **shared)
+        assert model_digest(b.final_model) == digest
+        assert repr([(m.ma, m.ba, m.tpr, m.tnr) for m in b.metrics]) == rounds
+
+    def test_csv_rewritten_between_runs_is_read_again(self, tmp_path):
+        shape = dict(n_clients=6, queue_size=3, verify_set_size=3, n_verifiers=2,
+                     verify_subset_size=2, rounds=2, per_client_size=50,
+                     trigger_coords=(1, 2), seed=3)
+
+        def write(path, seed):
+            ds = gen_dataset(1500, 3, 6, seed=seed)
+            np.savetxt(path, np.column_stack([ds.x, ds.y]), delimiter=",")
+
+        path = tmp_path / "data.csv"
+        write(path, 1)
+        first = run(SimConfig(data_csv=str(path), **shape))
+        write(path, 2)
+        second = run(SimConfig(data_csv=str(path), **shape))
+        other = tmp_path / "other.csv"
+        write(other, 2)
+        reference = run(SimConfig(data_csv=str(other), **shape))
+        assert model_digest(second.final_model) == model_digest(reference.final_model)
+        assert model_digest(second.final_model) != model_digest(first.final_model)
 
 
 class TestEmit:

@@ -305,3 +305,121 @@ class TestModelParams:
         model = single_layer(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(ValueError):
             model.layers[0].weights[0, 0] = 1.0
+
+
+# Reference kernels: the straightforward out-of-place forms the in-place
+# training path must reproduce bit for bit.
+
+def ref_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_forward(weights, biases, x):
+    acts = [x]
+    h = x
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w.T + b
+        if k < len(weights) - 1:
+            h = np.maximum(z, 0.0)
+            acts.append(h)
+    return acts, ref_softmax(z)
+
+
+def ref_grads(weights, biases, x, y):
+    acts, delta = ref_forward(weights, biases, x)
+    n = y.size
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grad_w = [None] * len(weights)
+    grad_b = [None] * len(weights)
+    for k in range(len(weights) - 1, -1, -1):
+        grad_w[k] = delta.T @ acts[k]
+        grad_b[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ weights[k]) * (acts[k] > 0.0)
+    return grad_w, grad_b
+
+
+def ref_sgd(model, x, y, cfg):
+    """Per-layer mini-batch SGD: ``w -= lr * g`` after every batch."""
+    rng = np.random.default_rng(cfg.seed)
+    weights = [layer.weights.copy() for layer in model.layers]
+    biases = [layer.bias.copy() for layer in model.layers]
+    n = y.size
+    step = min(cfg.batch_size, n)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, step):
+            batch = order[start : start + step]
+            grad_w, grad_b = ref_grads(weights, biases, x[batch], y[batch])
+            for k in range(len(weights)):
+                weights[k] -= cfg.learning_rate * grad_w[k]
+                biases[k] -= cfg.learning_rate * grad_b[k]
+    return weights, biases
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("classes", range(1, 13))
+    @pytest.mark.parametrize("rows", [1, 7, 64, 200, 1000])
+    def test_softmax_bit_equal(self, classes, rows):
+        rng = np.random.default_rng(1000 * classes + rows)
+        z = 4.0 * rng.standard_normal((rows, classes))
+        z[::3] += 700.0                       # near overflow
+        z[1::5] -= 700.0                      # near underflow
+        z[2::4] = rng.standard_normal()       # all logits of a row equal
+        expect = ref_softmax(z)
+        work = z.copy()
+        out = nn._softmax(work)
+        assert out is work
+        assert same_bits(out, expect)
+
+    def test_forward_and_gradients_bit_equal(self):
+        rng = np.random.default_rng(5)
+        model = random_model(rng, [6, 9, 7, 4])
+        x = rng.standard_normal((37, 6))
+        y = rng.integers(0, 4, size=37)
+        weights, biases = nn._raw(model)
+        assert same_bits(nn.forward_batch(model, x), ref_forward(weights, biases, x)[1])
+        grad_w, grad_b = ref_grads(weights, biases, x, y)
+        for layer, w, b in zip(nn.gradients(model, x, y), grad_w, grad_b):
+            assert same_bits(layer.weights, w) and same_bits(layer.bias, b)
+
+    @pytest.mark.parametrize("dims, n, lr, epochs, batch", [
+        ([20, 32, 5], 200, 0.01, 1, 200),      # one full-batch step (a desk client round)
+        ([20, 32, 5], 130, 0.1, 4, 64),        # several epochs, partial last batch
+        ([5, 8, 3], 30, 0.05, 3, 100),         # batch larger than n
+        ([4, 6, 3], 9, 0.0, 3, 4),             # learning_rate = 0
+        ([3, 2], 11, 0.3, 2, 5),               # one layer, two classes
+    ])
+    def test_sgd_train_bit_equal(self, dims, n, lr, epochs, batch):
+        rng = np.random.default_rng(n + len(dims))
+        model = random_model(rng, dims)
+        x = rng.standard_normal((n, dims[0]))
+        y = rng.integers(0, dims[-1], size=n)
+        cfg = nn.TrainConfig(learning_rate=lr, local_epochs=epochs, batch_size=batch, seed=17)
+        weights, biases = ref_sgd(model, x, y, cfg)
+        out = nn.sgd_train(model, x, y, cfg)
+        for layer, w, b in zip(out.layers, weights, biases):
+            assert same_bits(layer.weights, w) and same_bits(layer.bias, b)
+
+    def test_sgd_train_hand_built_three_layers(self):
+        layers = (
+            nn.Layer(np.array([[1.0, -0.5], [0.25, 0.75], [-1.0, 0.5]]), np.array([0.1, 0.0, -0.2])),
+            nn.Layer(np.array([[0.5, -0.25, 1.0], [-0.75, 0.5, 0.25]]), np.array([0.0, 0.3])),
+            nn.Layer(np.array([[1.0, -1.0], [0.5, 0.5], [-0.25, 1.5]]), np.array([0.0, 0.0, 0.1])),
+        )
+        model = nn.ModelParams(layers)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((23, 2))
+        y = rng.integers(0, 3, size=23)
+        cfg = nn.TrainConfig(learning_rate=0.3, local_epochs=5, batch_size=6, seed=2)
+        weights, biases = ref_sgd(model, x, y, cfg)
+        out = nn.sgd_train(model, x, y, cfg)
+        for layer, w, b in zip(out.layers, weights, biases):
+            assert same_bits(layer.weights, w) and same_bits(layer.bias, b)
