@@ -15,6 +15,9 @@ clients:
   deterministic 2-means, and suspects the cluster containing the least
   trusted client (ties by lowest id).
 
+Tasks hold their clients in id order, so the 2-means' farthest-pair tie-break
+(lowest ids first) is the first row-major maximum, whatever the arrival order.
+
 A client in both sets scores 0, in neither scores 1, otherwise 1/2.
 """
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import DomainError
+from .errors import DomainError, NumericalError, ShapeError
 from .ledger import VALID_SCORES
 
 __all__ = [
@@ -69,6 +72,10 @@ class VerificationTask:
         for c in ordered:
             if c.client_id not in self.trust:
                 raise DomainError(f"missing trust snapshot for client {c.client_id}")
+            if c.du.ndim != 2 or c.db.shape != c.du.shape[:1]:
+                raise ShapeError(f"client {c.client_id}: dU rows must match db length")
+            if not (np.isfinite(c.du).all() and np.isfinite(c.db).all()):
+                raise NumericalError(f"client {c.client_id} reported a non-finite gradient")
 
     def client_ids(self):
         return tuple(c.client_id for c in self.clients)
@@ -103,7 +110,7 @@ def make_task(verifier_id, submissions, global_model, learning_rate, trust, roun
             data_size=sub.data_size,
             u_local=u_global - learning_rate * sub.ug.du,
         ))
-    return VerificationTask(verifier_id, tuple(members), round_index, dict(trust))
+    return VerificationTask(verifier_id, tuple(members), round_index, trust)
 
 
 def _size_weighted_mean(arrays, sizes):
@@ -148,26 +155,19 @@ def filter_gradient_similarity(task: VerificationTask) -> frozenset:
     return frozenset(c.client_id for c, a in zip(clients, scaled) if a > median)
 
 
-def _two_means(features, ids):
+def _two_means(features):
     """Deterministic 2-means: seed with the farthest pair, cap the iterations.
 
-    Returns a boolean membership array for the cluster seeded by the lower id
-    of the pair, or ``None`` when one cluster ends up empty.  Ties everywhere
-    break toward that same cluster, so reordering the input cannot change the
-    split.
+    Rows must come in ascending client-id order.  Returns a boolean membership
+    array for the cluster seeded by the lower row of the pair, or ``None`` when
+    one cluster ends up empty.  Ties everywhere break toward that same cluster,
+    so reordering the clients cannot change the split.
     """
-    n = len(ids)
+    n = len(features)
     dists = np.linalg.norm(features[:, None, :] - features[None, :, :], axis=2)
-    best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = (-dists[i, j], min(ids[i], ids[j]), max(ids[i], ids[j]))
-            if best is None or key < best[0]:
-                best = (key, i, j)
-    _, i, j = best
-    if dists[i, j] == 0.0:
+    a, b = divmod(int(np.argmax(np.triu(dists, 1))), n)
+    if dists[a, b] == 0.0:
         return None
-    a, b = (i, j) if ids[i] < ids[j] else (j, i)
     center_a, center_b = features[a].copy(), features[b].copy()
     member_a = np.zeros(n, dtype=bool)
     for _ in range(KMEANS_MAX_ITER):
@@ -194,14 +194,10 @@ def filter_byclass_kmeans(task: VerificationTask) -> frozenset:
     clients = task.clients
     if len(clients) < 2:
         raise DomainError("clustering filter needs at least two clients")
-    mus = [
-        nn.by_class_gradient(nn.UltimateGradient(c.du, c.db, c.client_id, task.round_index))
-        for c in clients
-    ]
-    mus = np.array(mus)
+    mus = np.array([nn.by_class_gradient(c) for c in clients])
     features = np.linalg.norm(mus[:, None, :] - mus[None, :, :], axis=2)
-    ids = [c.client_id for c in clients]
-    member_a = _two_means(features, ids)
+    ids = task.client_ids()
+    member_a = _two_means(features)
     if member_a is None:
         return frozenset()
     anchor_pos = min(range(len(clients)), key=lambda k: (task.trust[ids[k]], ids[k]))

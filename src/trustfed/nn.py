@@ -342,7 +342,8 @@ def extract_ultimate_gradient(
 
 
 def by_class_gradient(g: UltimateGradient) -> np.ndarray:
-    """Per-class summary: row sums of dU concatenated with db, length 2*classes."""
+    """Per-class summary of an ``UltimateGradient`` or a ``defense.TaskClient``:
+    row sums of dU concatenated with db, length 2*classes."""
     return np.concatenate([g.du.sum(axis=1), g.db])
 
 

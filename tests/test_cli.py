@@ -32,9 +32,9 @@ class TestRunCommand:
         out = tmp_path / "out"
         code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader(open(out / "metrics.csv")))
+        rows = list(csv.reader((out / "metrics.csv").read_text().splitlines()))
         assert len(rows) == 3  # header + 2 rounds
-        summary = json.loads(open(out / "summary.json").read())
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["rounds"] == 2
         assert "final_ma" in capsys.readouterr().out or True
 
@@ -43,7 +43,7 @@ class TestRunCommand:
         cfg.write_text(FAST_CFG)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--seed", "9"]) == 0
-        summary = json.loads(open(out / "summary.json").read())
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 9
 
     def test_csv_data_ingestion(self, tmp_path):
@@ -76,7 +76,7 @@ class TestRunCommand:
         cfg.write_text(FAST_CFG.replace("attack = blackbox", "attack = none"))
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        summary = json.loads(open(out / "summary.json").read())
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["attack"] == "none"
 
     def test_unknown_attack_exit_code(self, tmp_path, capsys):

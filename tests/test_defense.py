@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trustfed import defense, nn
-from trustfed.errors import DomainError
+from trustfed.errors import DomainError, NumericalError, ShapeError
 
 
 def make_client(cid, du, db=None, size=10, u_local=None):
@@ -68,6 +68,41 @@ def oracle_best_2partition(points):
         if best_cost is None or cost < best_cost:
             best_cost, best = cost, (frozenset(a_idx), frozenset(b_idx))
     return best
+
+
+def reference_two_means(features):
+    """The farthest-pair seeding by explicit key, ``(-d, min id, max id)``.
+
+    Row k is client k, so ids run ``0..n-1`` in row order.  The 2-means
+    iterations that follow the seeding are the production ones, spelled out.
+    """
+    n = len(features)
+    ids = list(range(n))
+    dists = np.linalg.norm(features[:, None, :] - features[None, :, :], axis=2)
+    best = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            key = (-dists[i, j], min(ids[i], ids[j]), max(ids[i], ids[j]))
+            if best is None or key < best[0]:
+                best = (key, i, j)
+    _, i, j = best
+    if dists[i, j] == 0.0:
+        return None
+    a, b = (i, j) if ids[i] < ids[j] else (j, i)
+    center_a, center_b = features[a].copy(), features[b].copy()
+    member_a = np.zeros(n, dtype=bool)
+    for _ in range(defense.KMEANS_MAX_ITER):
+        da = np.linalg.norm(features - center_a, axis=1)
+        db = np.linalg.norm(features - center_b, axis=1)
+        new_a = da <= db
+        if new_a.all() or not new_a.any():
+            return None
+        if (new_a == member_a).all():
+            break
+        member_a = new_a
+        center_a = features[member_a].mean(axis=0)
+        center_b = features[~member_a].mean(axis=0)
+    return member_a
 
 
 class TestSimilarityFilter:
@@ -192,6 +227,24 @@ class TestByClassFilter:
         got = defense.filter_byclass_kmeans(make_task(low + high, trust=trust))
         assert got == frozenset({3, 4, 5})
 
+    def test_two_means_tie_break_matches_key_reference(self):
+        # Points on a small integer grid make equal distances exact and
+        # common, so the farthest pair is often tied.
+        rng = np.random.default_rng(12)
+        tied = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 9))
+            features = rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float)
+            dists = np.linalg.norm(features[:, None, :] - features[None, :, :], axis=2)
+            tied += int(dists.max() > 0 and (dists == dists.max()).sum() > 2)
+            got = defense._two_means(features)
+            expect = reference_two_means(features)
+            if expect is None:
+                assert got is None
+            else:
+                assert got is not None and (got == expect).all()
+        assert tied >= 100
+
     def test_deterministic_across_runs_and_orders(self):
         rng = np.random.default_rng(7)
         members = [
@@ -261,6 +314,22 @@ class TestCombineAndVerify:
             report = defense.verify(make_task(members))
             assert set(report.scores.values()) <= {0.0, 0.5, 1.0}
             assert set(report.scores) == set(range(n))
+
+    @pytest.mark.parametrize("field", ["du", "db"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_report_raises(self, field, bad):
+        members = [make_client(i, [[1.0, float(i)], [0.0, 2.0]], db=[0.5, float(i)])
+                   for i in range(4)]
+        getattr(members[2], field)[-1] = bad
+        with pytest.raises(NumericalError):
+            defense.verify(make_task(members))
+
+    def test_misshapen_report_raises(self):
+        members = [make_client(i, [[1.0, float(i)], [0.0, 2.0]], db=[0.5, float(i)])
+                   for i in range(3)]
+        members.append(make_client(3, [[1.0, 3.0], [0.0, 2.0]], db=[0.5, 3.0, 1.0]))
+        with pytest.raises(ShapeError):
+            defense.verify(make_task(members))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(10)

@@ -370,24 +370,24 @@ class TestEmit:
     def test_rerun_identical_modulo_wall_time(self, tmp_path):
         paths_a = emit(self.run_small(), tmp_path / "a")
         paths_b = emit(self.run_small(), tmp_path / "b")
-        strip = lambda p: [row[:5] for row in csv.reader(open(p))]
+        strip = lambda p: [row[:5] for row in csv.reader(Path(p).read_text().splitlines())]
         assert strip(paths_a["metrics"]) == strip(paths_b["metrics"])
-        summary_a = json.loads(open(paths_a["summary"]).read())
-        summary_b = json.loads(open(paths_b["summary"]).read())
+        summary_a = json.loads(Path(paths_a["summary"]).read_text())
+        summary_b = json.loads(Path(paths_b["summary"]).read_text())
         summary_a.pop("mean_round_time"), summary_b.pop("mean_round_time")
         assert summary_a == summary_b
 
     def test_summary_round_count(self, tmp_path):
         res = self.run_small()
         paths = emit(res, tmp_path)
-        summary = json.loads(open(paths["summary"]).read())
+        summary = json.loads(Path(paths["summary"]).read_text())
         assert summary["rounds"] == FAST["rounds"]
         assert summary["seed"] == 16
 
     def test_events_exported_one_per_line(self, tmp_path):
         res = self.run_small()
         paths = emit(res, tmp_path)
-        lines = open(paths["events"]).read().strip().splitlines()
+        lines = Path(paths["events"]).read_text().strip().splitlines()
         assert len(lines) == len(res.state.events)
         assert all(json.loads(line)["kind"] for line in lines)
 
