@@ -2,8 +2,6 @@
 
 import hashlib
 
-from . import nn
-
 __all__ = ["blob_digest", "model_digest"]
 
 
@@ -11,5 +9,6 @@ def blob_digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def model_digest(model: nn.ModelParams) -> str:
-    return blob_digest(nn.to_bytes(model))
+def model_digest(model) -> str:
+    """The digest a ``nn.ModelParams`` keeps: ``blob_digest`` of its canonical bytes."""
+    return model.digest

@@ -7,15 +7,18 @@ negative learning rate) is the ultimate gradient that verifiers inspect.
 
 Everything is float64 and pure: operations return new ``ModelParams`` and all
 randomness comes from explicit seeds, so identical inputs give bit-identical
-outputs.
+outputs.  Layer arrays are read-only copies, so each model computes its
+canonical bytes and their digest once, on first use, and keeps them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import struct
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError
+from .hashing import blob_digest
 
 __all__ = [
     "Layer",
@@ -107,6 +110,22 @@ class ModelParams:
         return len(self.layers) == len(other.layers) and all(
             a.weights.shape == b.weights.shape for a, b in zip(self.layers, other.layers)
         )
+
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """The serialization ``to_bytes`` returns (format described there)."""
+        out = [struct.pack("<I", len(self.layers))]
+        for layer in self.layers:
+            out.append(struct.pack("<II", layer.out_dim, layer.in_dim))
+        for layer in self.layers:
+            out.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
+            out.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+        return b"".join(out)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of ``canonical_bytes``: the model's identity in the off-chain store."""
+        return blob_digest(self.canonical_bytes)
 
 
 @dataclass(frozen=True)
@@ -380,16 +399,10 @@ def flatten(model: ModelParams) -> np.ndarray:
 # Canonical serialization: a fixed-width architecture header (layer count and
 # per-layer dims, 32-bit little-endian unsigned) followed by row-major
 # little-endian float64 payloads, weights then bias per layer.  Hashes of these
-# bytes identify models in the off-chain store.
+# bytes identify models in the off-chain store; each model keeps its own.
 
 def to_bytes(model: ModelParams) -> bytes:
-    out = [struct.pack("<I", len(model.layers))]
-    for layer in model.layers:
-        out.append(struct.pack("<II", layer.out_dim, layer.in_dim))
-    for layer in model.layers:
-        out.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        out.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
-    return b"".join(out)
+    return model.canonical_bytes
 
 
 def from_bytes(blob: bytes) -> ModelParams:

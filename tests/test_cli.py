@@ -1,11 +1,24 @@
 import concurrent.futures
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trustfed import cli
+
+
+DESK_CFG = Path(__file__).resolve().parents[1] / "demos" / "desk_run.cfg"
+
+
+def desk_config(tmp_path, **overrides):
+    """The desk config with ``overrides`` in place of its own values."""
+    kept = [line for line in DESK_CFG.read_text().splitlines()
+            if line.split("=", 1)[0].strip() not in overrides]
+    path = tmp_path / "desk.cfg"
+    path.write_text("\n".join(kept + [f"{k} = {v}" for k, v in overrides.items()]) + "\n")
+    return path
 
 
 FAST_CFG = """
@@ -110,6 +123,26 @@ class TestMalformedCsv:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error: malformed CSV" in err and "Traceback" not in err
+
+
+class TestFaultInjection:
+    # numpy's overflow warnings on the way to the error are a separate open item.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_clients_exit_with_numerical_error(self, tmp_path, capsys):
+        cfg = desk_config(tmp_path, learning_rate=1e300, rounds=3, warm_start_epochs=2)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical error:")
+        assert not out.exists()
+
+    def test_caav_shortfall_is_logged_and_the_run_goes_on(self, tmp_path):
+        cfg = desk_config(tmp_path, verifier_policy="caav", n_verifiers=40, attacker_ratio=0.25,
+                          attack="blackbox", rounds=3)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        kinds = [json.loads(line)["kind"] for line in (out / "events.jsonl").read_text().splitlines()]
+        assert "VerifierShortfall" in kinds
+        assert kinds.count("GlobalUpdated") == 3
 
 
 class TestPlanCommand:

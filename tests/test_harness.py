@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import trustfed
-from trustfed import defense, harness, ledger, nn
+from trustfed import defense, harness, hashing, ledger, nn
 from trustfed.clients import ClientProfile, local_round
 from trustfed.data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, partition_non_iid, triggered_testset
 from trustfed.errors import ConfigError, DegenerateAggregationError, DomainError
@@ -26,6 +26,8 @@ from trustfed.harness import (
 )
 from trustfed.hashing import model_digest
 from trustfed.seeds import derive_seed
+
+DESK_CFG = Path(__file__).resolve().parents[1] / "demos" / "desk_run.cfg"
 
 FAST = dict(rounds=3, n_clients=12, queue_size=4, verify_set_size=4, n_verifiers=3,
             verify_subset_size=3, per_client_size=60, test_size=200,
@@ -215,6 +217,28 @@ class TestRun:
         assert all(n <= cfg.queue_size + 1 for n in held)
         assert set(stores[0]._blobs) == {result.state.global_model_digest}
         stores[0].fetch(result.state.global_model_digest)
+
+
+class TestHashPasses:
+    def test_each_submission_is_hashed_four_times(self, monkeypatch):
+        # Per submission: the client's digest (kept on the model, so the
+        # Submission check reuses it), the store's put, and the fetches in
+        # submit and in aggregate.  Per stored global model: the put.
+        passes = []
+
+        class CountingHashlib:
+            @staticmethod
+            def sha256(data=b""):
+                passes.append(len(data))
+                return hashlib.sha256(data)
+
+        monkeypatch.setattr(hashing, "hashlib", CountingHashlib)
+        cfg = SimConfig.from_file(DESK_CFG)
+        cfg.rounds = 2
+        cfg.warm_start_epochs = 2
+        result = run(cfg)
+        assert [e.kind for e in result.state.events].count(ledger.GLOBAL_UPDATED) == 2
+        assert len(passes) == 4 * cfg.rounds * cfg.queue_size + cfg.rounds + 1 == 83
 
 
 class TestWarmStartMemo:

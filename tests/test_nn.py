@@ -1,10 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustfed import nn
 from trustfed.errors import DomainError, NumericalError, ShapeError
+from trustfed.hashing import blob_digest, model_digest
 
 
 def single_layer(u, b):
@@ -267,7 +270,53 @@ class TestByClassGradient:
         assert np.allclose(nn.by_class_gradient(g), expect, atol=1e-15)
 
 
+def reference_to_bytes(model):
+    """The canonical serialization, written out independently of ``nn``."""
+    out = [struct.pack("<I", len(model.layers))]
+    for layer in model.layers:
+        out.append(struct.pack("<II", layer.out_dim, layer.in_dim))
+    for layer in model.layers:
+        out.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
+        out.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+    return b"".join(out)
+
+
+# Finite float64 values, with the ones a byte format can get wrong drawn often.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072e-308, 1e300, -1e300,
+               1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def models(draw):
+    dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    layers = []
+    for out_dim, in_dim in zip(dims[1:], dims[:-1]):
+        w = draw(st.lists(FLOATS, min_size=out_dim * in_dim, max_size=out_dim * in_dim))
+        b = draw(st.lists(FLOATS, min_size=out_dim, max_size=out_dim))
+        layers.append(nn.Layer(np.array(w).reshape(out_dim, in_dim), np.array(b)))
+    return nn.ModelParams(tuple(layers))
+
+
 class TestSerialization:
+    def test_bytes_are_kept_on_the_model(self):
+        model = random_model(np.random.default_rng(23), [6, 4, 3])
+        assert nn.to_bytes(model) is nn.to_bytes(model)
+        assert nn.to_bytes(model) == reference_to_bytes(model)
+        assert model_digest(model) is model_digest(model)
+
+    @settings(deadline=None)
+    @given(models())
+    def test_roundtrip_gives_back_the_same_bytes(self, model):
+        blob = nn.to_bytes(model)
+        assert blob == reference_to_bytes(model)
+        assert nn.to_bytes(nn.from_bytes(blob)) == blob
+
+    @settings(deadline=None)
+    @given(models())
+    def test_digest_hashes_the_reference_bytes(self, model):
+        assert model_digest(model) == blob_digest(reference_to_bytes(model))
+
     def test_roundtrip_is_exact(self):
         rng = np.random.default_rng(19)
         model = random_model(rng, [6, 4, 3])
