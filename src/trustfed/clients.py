@@ -104,8 +104,6 @@ def model_replace(local: nn.ModelParams, global_model: nn.ModelParams, gamma: fl
     """Return ``global + gamma * (local - global)``."""
     if gamma < 0:
         raise DomainError("gamma must be nonnegative")
-    if not local.same_architecture(global_model):
-        raise DomainError("models have different architectures")
     return nn.lincomb([global_model, local], [1.0 - gamma, gamma])
 
 

@@ -87,18 +87,14 @@ class ScoreReport:
     scores: dict
     round_index: int
 
-    def __post_init__(self):
-        for s in self.scores.values():
-            if s not in VALID_SCORES:
-                raise DomainError(f"score {s} outside {VALID_SCORES}")
-
 
 def make_task(verifier_id, submissions, global_model, learning_rate, trust, round_index) -> VerificationTask:
     """Build a task from submissions, reconstructing each client's ultimate weights.
 
     Verifiers only download gradients, but the similarity filter needs the
-    weights themselves; ``U_local = U_global - lr * dU`` recovers them exactly
-    from the public global model.
+    weights themselves; ``U_local = U_global - lr * dU`` recovers them to
+    rounding from the public global model.  The filters score this
+    reconstruction, which is what the golden digests pin.
     """
     u_global, _ = global_model.ultimate()
     members = []

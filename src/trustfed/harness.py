@@ -21,7 +21,7 @@ import numpy as np
 from . import defense, ledger, nn
 from .clients import Attack, AttackParams, ClientProfile, local_round
 from .data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, load_csv, partition_non_iid, triggered_testset
-from .errors import ConfigError, DegenerateAggregationError, DomainError
+from .errors import ConfigError, DegenerateAggregationError, DomainError, NumericalError
 from .seeds import derive_seed
 
 __all__ = [
@@ -287,7 +287,7 @@ def _verifier_population(cfg: SimConfig, attackers):
     if want <= n_att:
         rng = np.random.default_rng(derive_seed(cfg.seed, "bad_verifiers"))
         count = max(1, int(round(want)))
-        bad = rng.choice(sorted(attackers), size=min(count, n_att), replace=False)
+        bad = rng.choice(sorted(attackers), size=count, replace=False)
         return clients, frozenset(int(c) for c in bad)
     # outsider count o solves (n_att + o) / (n_clients + o) = p; validate()
     # rejects p = 1 here, where no finite o does.
@@ -330,7 +330,19 @@ def _warm_start(master, n_features, hidden_width, n_classes, warm_start_size,
 
 
 def run(cfg: SimConfig) -> RunResult:
-    """Execute the configured number of rounds and collect per-round metrics."""
+    """Execute the configured number of rounds and collect per-round metrics.
+
+    numpy raises on overflow and invalid values inside the run, so a
+    diverging client stops it at the first overflow with ``NumericalError``.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _run(cfg)
+    except FloatingPointError as exc:
+        raise NumericalError(str(exc)) from exc
+
+
+def _run(cfg: SimConfig) -> RunResult:
     cfg.validate()
     master = cfg.seed
     if cfg.data_csv is not None:

@@ -148,7 +148,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class UltimateGradient:
-    """Reported per-round change of the ultimate layer, (dU, db) = -delta/lr."""
+    """Reported per-round change of the ultimate layer, (dU, db) = -delta/lr.
+
+    Only frozen here: ``Submission`` and ``VerificationTask`` check the arrays."""
 
     du: np.ndarray
     db: np.ndarray
@@ -158,16 +160,6 @@ class UltimateGradient:
     def __post_init__(self):
         object.__setattr__(self, "du", _frozen(self.du))
         object.__setattr__(self, "db", _frozen(self.db))
-        if self.du.ndim != 2 or self.db.ndim != 1:
-            raise ShapeError("ultimate gradient expects a matrix and a vector")
-        if self.du.shape[0] != self.db.shape[0]:
-            raise ShapeError("dU row count must equal db length")
-        if not (np.isfinite(self.du).all() and np.isfinite(self.db).all()):
-            raise NumericalError("ultimate gradient contains non-finite entries")
-
-    @property
-    def n_classes(self) -> int:
-        return self.du.shape[0]
 
 
 def init_mlp(n_features: int, hidden_width: int, n_classes: int, seed: int) -> ModelParams:
@@ -308,9 +300,9 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
     weight and a bias view per layer: the backward pass writes the gradients
     through those views and a step is two calls on the whole vector,
     ``grads *= lr`` then ``params -= grads``, which rounds exactly as
-    ``w -= lr * g`` does per layer.  Inputs are checked once, the parameters'
-    finiteness once per epoch, and the result is validated as a new
-    ``ModelParams``.
+    ``w -= lr * g`` does per layer.  Inputs are checked once and the result
+    is validated as a new ``ModelParams``, whose layers reject non-finite
+    parameters.
     """
     x = _check_batch(model, x)
     y = np.asarray(y, dtype=int)
@@ -325,7 +317,7 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
     lr = cfg.learning_rate
     n = y.size
     step = min(cfg.batch_size, n)
-    for epoch in range(cfg.local_epochs):
+    for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, step):
             batch = order[start : start + step]
@@ -333,8 +325,6 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
                        grad_w, grad_b)
             grads *= lr
             params -= grads
-        if not np.isfinite(params).all():
-            raise NumericalError(f"non-finite parameters after epoch {epoch}")
     return ModelParams(tuple(Layer(w, b) for w, b in zip(weights, biases)))
 
 
@@ -343,8 +333,9 @@ def extract_ultimate_gradient(
 ) -> UltimateGradient:
     """Recover (dU, db) from the ultimate-layer displacement over one round.
 
-    By construction ``U_after == U_before - lr * dU`` exactly, so verifiers can
-    reconstruct a client's ultimate weights from the public global model.
+    By construction ``U_after == U_before - lr * dU`` to rounding, so verifiers
+    can reconstruct a client's ultimate weights from the public global model.
+    They score that reconstruction, which is what the golden digests pin.
     """
     if learning_rate <= 0:
         raise DomainError("learning_rate must be positive to extract a gradient")

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from trustfed import cli
+from trustfed.errors import ConfigError
+from trustfed.harness import SimConfig
 
 
 DESK_CFG = Path(__file__).resolve().parents[1] / "demos" / "desk_run.cfg"
@@ -135,6 +137,15 @@ class TestFaultInjection:
         assert capsys.readouterr().err.startswith("numerical error:")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_stops_at_its_first_overflow_without_warnings(self, tmp_path, capsys):
+        cfg = desk_config(tmp_path, learning_rate=1e300, rounds=3, warm_start_epochs=2)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error:")
+        assert not out.exists()
+
     def test_caav_shortfall_is_logged_and_the_run_goes_on(self, tmp_path):
         cfg = desk_config(tmp_path, verifier_policy="caav", n_verifiers=40, attacker_ratio=0.25,
                           attack="blackbox", rounds=3)
@@ -143,6 +154,33 @@ class TestFaultInjection:
         kinds = [json.loads(line)["kind"] for line in (out / "events.jsonl").read_text().splitlines()]
         assert "VerifierShortfall" in kinds
         assert kinds.count("GlobalUpdated") == 3
+
+
+class TestConfigEdgeCases:
+    @pytest.mark.parametrize("overrides", [
+        {"verify_subset_size": 1},
+        {"bad_verifier_fraction": 1.5},
+        {"bad_verifier_fraction": -0.1},
+        {"bad_verifier_mode": "mirror"},
+        {"verifier_policy": "closed"},
+        {"rounds": 0},
+        {"verify_lag": -1},
+        {"target_class": 5},
+        {"trigger_coords": "1,2,20"},
+    ])
+    def test_rejected_by_validate_and_by_run(self, tmp_path, capsys, overrides):
+        cfg = desk_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError):
+            SimConfig.from_file(cfg).validate()
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+
+    def test_defense_off_parses_and_admits_single_client_subsets(self, tmp_path):
+        cfg = SimConfig.from_file(desk_config(tmp_path, defense_enabled="off", verify_subset_size=1))
+        assert cfg.defense_enabled is False
+        assert cfg.validate() is cfg
 
 
 class TestPlanCommand:

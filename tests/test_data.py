@@ -150,6 +150,14 @@ class TestPoison:
         assert dist[flags_edge].mean() > dist.mean()
         assert flags_edge.sum() == 30
 
+    def test_edge_case_draws_only_from_a_large_enough_tail(self):
+        ds = data.gen_dataset(600, 2, 4, seed=30)
+        tail = data._edge_candidates(ds)
+        _, flags = data.poison(ds, self.spec(0.02, edge_case=True), seed=31)
+        assert tail.size >= 12
+        assert flags.sum() == 12  # ceil(0.02 * 600)
+        assert set(np.flatnonzero(flags)) <= set(tail)
+
 
 class TestTriggeredTestset:
     def spec(self):

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustfed import defense, nn
 from trustfed.errors import DomainError, NumericalError, ShapeError
+from trustfed.ledger import VALID_SCORES
 
 
 def make_client(cid, du, db=None, size=10, u_local=None):
@@ -344,6 +346,51 @@ class TestCombineAndVerify:
             perm = list(members)
             rng.shuffle(perm)
             assert defense.verify(make_task(perm, trust=trust)).scores == base
+
+
+# Small integers make exact ties (the filters' degenerate branches) common.
+ENTRIES = st.one_of(st.integers(-3, 3).map(float),
+                    st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def tasks(draw):
+    n = draw(st.integers(2, 7))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(ENTRIES, min_size=size, max_size=size))).reshape(shape)
+
+    members = [
+        make_client(cid, array(rows, cols), db=array(rows), size=draw(st.integers(1, 500)),
+                    u_local=array(rows, cols))
+        for cid in draw(st.lists(st.integers(0, 50), min_size=n, max_size=n, unique=True))
+    ]
+    trust = {c.client_id: draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) for c in members}
+    return members, trust
+
+
+class TestVerifyProperties:
+    # The contract rejects any other score, so verifiers must never emit one.
+    @settings(deadline=None, max_examples=50)
+    @given(tasks(), st.integers(0, 2**32 - 1))
+    def test_verify_and_corruptions_emit_only_valid_scores(self, drawn, seed):
+        members, trust = drawn
+        report = defense.verify(make_task(members, trust=trust))
+        assert set(report.scores) == {c.client_id for c in members}
+        for got in (report, defense.corrupt_report(report, "random", seed),
+                    defense.corrupt_report(report, "reverse", seed)):
+            assert set(got.scores.values()) <= set(VALID_SCORES)
+
+    @settings(deadline=None, max_examples=50)
+    @given(tasks(), st.randoms(use_true_random=False))
+    def test_verify_ignores_member_order(self, drawn, random):
+        members, trust = drawn
+        shuffled = list(members)
+        random.shuffle(shuffled)
+        assert (defense.verify(make_task(shuffled, trust=trust))
+                == defense.verify(make_task(members, trust=trust)))
 
 
 class TestCorruptReport:

@@ -196,6 +196,16 @@ class TestRun:
             SimConfig(bad_verifier_fraction=1.0, attacker_ratio=0.25).validate()
         SimConfig(bad_verifier_fraction=1.0, attacker_ratio=1.0).validate()
 
+    @pytest.mark.parametrize("fraction, n_bad", [(0.1, 4), (0.25, 10)])
+    def test_dishonest_verifiers_within_the_attackers_come_from_them(self, fraction, n_bad):
+        # 0 < p * n_clients <= attackers: no outsiders join, and a seeded
+        # subset of the compromised clients misbehaves (all of them at p = ratio).
+        cfg = SimConfig(n_clients=40, attacker_ratio=0.25, bad_verifier_fraction=fraction, seed=3)
+        attackers = harness._pick_attackers(cfg)
+        pool, bad = harness._verifier_population(cfg, attackers)
+        assert pool == list(range(40))
+        assert len(bad) == n_bad and bad <= attackers
+
     def test_store_holds_one_queue_and_the_global_model(self, monkeypatch):
         # Aggregated blobs and replaced global models are evicted every round,
         # also when a zero-weight queue is dropped (forced here in round 2).

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustfed import clients, ledger, nn
 from trustfed.errors import (
@@ -344,3 +347,40 @@ class TestEvents:
             ledger.aggregate(state, unscored_ledger(2), store)
             return ledger.export_events(state)
         assert build() == build()
+
+
+class TestContractProperties:
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(ledger.VALID_SCORES)),
+                    max_size=200))
+    def test_trust_is_the_exact_mean_of_any_score_sequence(self, updates):
+        tl = unscored_ledger(4)
+        for cid, score in updates:
+            tl.update(cid, score)
+        for cid in range(4):
+            mine = [Fraction(s) for c, s in updates if c == cid]
+            expect = float(sum(mine) / len(mine)) if mine else 1.0
+            assert tl.trust(cid) == expect
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 1000), st.sampled_from(ledger.VALID_SCORES)),
+                    min_size=1, max_size=6),
+           st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_aggregate_ignores_a_power_of_two_data_size_scale(self, queued, exponent, seed):
+        rng = np.random.default_rng(seed)
+        models = [nn.ModelParams((nn.Layer(rng.standard_normal((3, 2)), rng.standard_normal(3)),))
+                  for _ in queued]
+
+        def digest(scale):
+            state, store = fresh_contract(len(queued))
+            tl = unscored_ledger(len(queued))
+            for cid, ((size, score), model) in enumerate(zip(queued, models)):
+                tl.update(cid, score)
+                store.put(nn.to_bytes(model))
+                ledger.submit(state, store, make_submission(cid, model, data_size=size * scale))
+            try:
+                return ledger.aggregate(state, tl, store).digest
+            except DegenerateAggregationError:
+                return None
+
+        assert digest(2 ** exponent) == digest(1)
