@@ -32,19 +32,18 @@ DEFAULT_SEPARATION = 4.0
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix [n, d] with integer labels [n] in [0, n_classes)."""
+    """Feature matrix [n, d] with integer labels [n] in [0, n_classes), both held
+    in immutable ``bytes`` numpy will not make writable, so runs can share them."""
 
     x: np.ndarray
     y: np.ndarray
     n_classes: int
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=np.float64, copy=True)
-        y = np.array(self.y, dtype=np.int64, copy=True)
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        x = np.asarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.int64)
+        object.__setattr__(self, "x", np.frombuffer(x.tobytes()).reshape(x.shape))
+        object.__setattr__(self, "y", np.frombuffer(y.tobytes(), np.int64).reshape(y.shape))
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise DomainError("features must be [n, d] with one label per row")
         if not np.isfinite(x).all():

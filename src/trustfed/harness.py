@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -79,7 +80,6 @@ class SimConfig:
     seed: int = 1
 
     def __post_init__(self):
-        self.trigger_coords = tuple(int(c) for c in self.trigger_coords)
         try:
             self.attack = Attack(self.attack).value
         except ValueError:
@@ -89,6 +89,8 @@ class SimConfig:
             ) from None
 
     def validate(self):
+        for f in fields(self):
+            _checked(f, getattr(self, f.name))
         if self.queue_size > self.n_clients:
             raise ConfigError("queue_size cannot exceed n_clients")
         if self.verify_subset_size > self.verify_set_size:
@@ -117,6 +119,8 @@ class SimConfig:
             raise ConfigError("rounds must be positive")
         if self.verify_lag < 0:
             raise ConfigError("verify_lag must be nonnegative")
+        if self.warm_start_size < 0:
+            raise ConfigError("warm_start_size must be nonnegative")
         if self.data_csv is None:
             if not 0 <= self.target_class < self.n_classes:
                 raise ConfigError("target_class out of range")
@@ -144,30 +148,38 @@ class SimConfig:
             key, text = key.strip(), text.strip()
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, text, known[key].default is None)
+            values[key] = _checked(known[key], _parse_value(known[key], text))
         return cls(**values)
 
 
-def _parse_value(key: str, text: str, optional: bool):
-    """Typed value of ``text``; "none" means unset only for optional keys."""
-    if text == "" or (optional and text.lower() == "none"):
+def _parse_value(f, text: str):
+    """``text`` read as field ``f``'s annotated type; "" or "none" unsets optional fields only."""
+    if f.default is None and text.lower() in ("", "none"):
         return None
-    if key == "trigger_coords":
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    lowered = text.lower()
-    if lowered in ("true", "on", "yes"):
-        return True
-    if lowered in ("false", "off", "no"):
-        return False
+    words = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+        return (tuple(map(int, text.split(","))) if f.type is tuple
+                else words[text.lower()] if f.type is bool else f.type(text))
+    except (KeyError, ValueError):
+        return text  # ``_checked`` rejects it, naming the field
+
+
+def _fits(kind, value) -> bool:
+    """Whether ``value`` passes as ``kind``; numpy integers pass as ints, ints as floats."""
+    if kind is tuple:
+        return isinstance(value, tuple) and all(_fits(int, c) for c in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, numbers.Integral if kind is int else kind)
+
+
+def _checked(f, value):
+    """``value`` if it fits field ``f``'s annotation (None only where optional), else ``ConfigError``."""
+    if not (_fits(f.type, value) or value is None and f.default is None):
+        raise ConfigError(f"{f.name}: {value!r} is not a valid {f.type.__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -243,7 +255,7 @@ def _synthetic_data(master, n_clients, non_iid_degree, per_client_size, pool_fac
     """Seeded client partitions and test set, memoized per process.
 
     Returns ``(parts, test)``: a tuple of per-client ``Dataset``s and the test
-    ``Dataset``, all read-only, so runs in one process (an attack sweep at
+    ``Dataset``, all immutable, so runs in one process (an attack sweep at
     one seed) share them.  The pool the partitions are cut from is not kept.
     """
     pool_size = int(math.ceil(pool_factor * n_clients * per_client_size))
@@ -320,7 +332,7 @@ def _warm_start(master, n_features, hidden_width, n_classes, warm_start_size,
     Starting near the main task's optimum makes clients report drift-scale
     gradients while a poisoned objective keeps producing large coordinated
     ones.  The result depends only on the arguments and ``ModelParams``
-    arrays are read-only, so runs in one process can share it.
+    arrays are immutable, so runs in one process can share it.
     """
     model = nn.init_mlp(n_features, hidden_width, n_classes, derive_seed(master, "init"))
     warm = gen_dataset(warm_start_size, n_classes, n_features,
@@ -479,7 +491,7 @@ def emit(result: RunResult, out_dir) -> dict:
                 f"{m.wall_time:.6g}",
             ])
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(json.dumps(result.summary, indent=2, sort_keys=True, default=np.generic.item) + "\n")
     events_path = out / "events.jsonl"
     events_path.write_text("\n".join(ledger.export_events(result.state)) + "\n")
     return {"metrics": csv_path, "summary": summary_path, "events": events_path}

@@ -172,10 +172,10 @@ def aggregate(state: ContractState, ledger: TrustLedger, store: OffchainStore) -
     Every queued blob is fetched first, so a missing or altered blob raises
     ``IntegrityError`` with the queue, the global digest and the event log
     untouched.  The in-memory models are then combined: a ``Submission``
-    checks that its read-only model hashes to its digest.  Weights are
-    normalized before combining, so scaling every weight by the same constant
-    cannot change the result.  If every weight is zero the queue is dropped,
-    the previous global model stands, and the caller is told.
+    checks that its model hashes to its digest, and that stays true because
+    the model's arrays sit in immutable ``bytes``.  Weights are normalized
+    first, so scaling all of them by one constant cannot change the result.
+    With every weight zero the queue is dropped and the old model stands.
     """
     if len(state.queue) != state.queue_capacity:
         raise DomainError(

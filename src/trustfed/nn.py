@@ -7,8 +7,8 @@ negative learning rate) is the ultimate gradient that verifiers inspect.
 
 Everything is float64 and pure: operations return new ``ModelParams`` and all
 randomness comes from explicit seeds, so identical inputs give bit-identical
-outputs.  Layer arrays are read-only copies, so each model computes its
-canonical bytes and their digest once, on first use, and keeps them.
+outputs.  Layer arrays sit in immutable ``bytes`` numpy will not make writable,
+so each model serializes and hashes itself once, on first use, and keeps both.
 """
 
 from dataclasses import dataclass
@@ -40,10 +40,9 @@ __all__ = [
 ]
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.flags.writeable = False
-    return out
+def _frozen(arr) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.float64)
+    return np.frombuffer(arr.tobytes()).reshape(arr.shape)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from trustfed import clients, defense, ledger, nn, planner
-from trustfed.data import gen_dataset
 from trustfed.harness import SimConfig, run
 from trustfed.hashing import model_digest
 from trustfed.seeds import derive_seed

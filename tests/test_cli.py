@@ -167,6 +167,7 @@ class TestConfigEdgeCases:
         {"verify_lag": -1},
         {"target_class": 5},
         {"trigger_coords": "1,2,20"},
+        {"warm_start_size": -5},
     ])
     def test_rejected_by_validate_and_by_run(self, tmp_path, capsys, overrides):
         cfg = desk_config(tmp_path, **overrides)
@@ -175,6 +176,28 @@ class TestConfigEdgeCases:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, text", [
+        ("rounds", "ten"),
+        ("learning_rate", "abc"),
+        ("n_clients", "40.5"),
+        ("rounds", "2.7"),
+        ("trigger_coords", "a,b"),
+        ("seed", "1.5"),
+        ("defense_enabled", "2"),
+        ("rounds", ""),
+        ("trigger_coords", ""),
+        ("queue_size", "true"),
+        ("learning_rate", "nan"),
+    ])
+    def test_wrongly_typed_value_exits_with_config_error(self, tmp_path, capsys, key, text):
+        cfg = desk_config(tmp_path, **{key: text})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_defense_off_parses_and_admits_single_client_subsets(self, tmp_path):

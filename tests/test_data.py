@@ -46,6 +46,16 @@ class TestGenDataset:
             data.gen_dataset(10, 5, 3, seed=0)
 
 
+class TestDatasetArrays:
+    def test_arrays_cannot_be_made_writable(self):
+        # Memoized datasets are shared across runs, so no holder may change them.
+        ds = data.gen_dataset(30, 3, 4, seed=2)
+        for arr in (ds.x, ds.y, ds.subset([0, 2]).x, ds.subset([0, 2]).y):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+
 class TestPartition:
     def test_iid_histogram_roughly_uniform(self):
         ds = data.gen_dataset(15000, 5, 6, seed=7)

@@ -1,10 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trustfed import defense, nn
+from trustfed import defense
 from trustfed.errors import DomainError, NumericalError, ShapeError
 from trustfed.ledger import VALID_SCORES
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,9 @@ import pytest
 
 import trustfed
 from trustfed import defense, harness, hashing, ledger, nn
-from trustfed.clients import ClientProfile, local_round
-from trustfed.data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, partition_non_iid, triggered_testset
+from trustfed.data import Dataset, PartitionSpec, gen_dataset, partition_non_iid
 from trustfed.errors import ConfigError, DegenerateAggregationError, DomainError
 from trustfed.harness import (
-    RoundMetrics,
     SimConfig,
     emit,
     eval_ba,
@@ -401,6 +400,14 @@ class TestEmit:
         assert rows[0] == ["round", "ma", "ba", "tpr", "tnr", "wall_time"]
         assert len(rows) == 1 + FAST["rounds"]
 
+    def test_numpy_integer_config_values_are_written_as_numbers(self, tmp_path):
+        plain = self.run_small()
+        cfg = SimConfig(attacker_ratio=0.25, attack="blackbox", seed=np.int64(16),
+                        **{k: np.int64(v) for k, v in FAST.items()})
+        summary = json.loads(emit(run(cfg), tmp_path)["summary"].read_text())
+        assert summary["seed"] == 16 and summary["config"]["n_clients"] == FAST["n_clients"]
+        assert summary["final_ma"] == plain.summary["final_ma"]
+
     def test_rerun_identical_modulo_wall_time(self, tmp_path):
         paths_a = emit(self.run_small(), tmp_path / "a")
         paths_b = emit(self.run_small(), tmp_path / "b")
@@ -455,6 +462,39 @@ class TestConfigFile:
         cfg = SimConfig.from_file(path)
         assert cfg.attack == "none"
         assert cfg.pgd_delta is None and cfg.data_csv is None
+
+    @pytest.mark.parametrize("f", fields(SimConfig), ids=lambda f: f.name)
+    def test_default_written_as_text_parses_back(self, tmp_path, f):
+        if f.default is None:
+            text = "none"
+        elif isinstance(f.default, bool):
+            text = "on" if f.default else "off"
+        elif isinstance(f.default, tuple):
+            text = ",".join(str(c) for c in f.default)
+        else:
+            text = str(f.default)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{f.name} = {text}\n")
+        parsed = getattr(SimConfig.from_file(path), f.name)
+        assert parsed == f.default and type(parsed) is type(f.default)
+
+    @pytest.mark.parametrize("overrides", [
+        {"rounds": "ten"},
+        {"seed": 1.5},
+        {"defense_enabled": 2},
+        {"rounds": True},
+        {"learning_rate": float("inf")},
+        {"trigger_coords": (1, 2.0)},
+        {"attack": "none", "data_csv": 3},
+    ])
+    def test_wrongly_typed_library_value_rejected_by_validate(self, overrides):
+        cfg = SimConfig(**overrides)
+        with pytest.raises(ConfigError, match=list(overrides)[-1]):
+            cfg.validate()
+
+    def test_numpy_integers_pass_as_ints_and_ints_as_floats(self):
+        cfg = SimConfig(rounds=np.int64(3), seed=np.int32(4), learning_rate=1, trigger_value=5)
+        assert cfg.validate() is cfg
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -169,6 +169,21 @@ class TestAggregate:
         out = ledger.aggregate(state, tl, store)
         assert np.allclose(nn.flatten(out), 2.5, atol=1e-12)
 
+    def test_queued_model_cannot_be_changed_after_its_digest_is_checked(self):
+        # Fault injection: a client keeps a handle on its submitted model and
+        # tries to rewrite it in place before the contract aggregates.
+        models = [constant_model(0.1), constant_model(0.3)]
+        state, store = fresh_contract(2)
+        subs = submit_models(state, store, models)
+        w = subs[0].model.layers[0].weights
+        with pytest.raises(ValueError):
+            w.flags.writeable = True
+        with pytest.raises(ValueError):
+            w[0, 0] = 1e6
+        out = ledger.aggregate(state, unscored_ledger(2), store)
+        assert model_digest(out) == model_digest(nn.lincomb(models, [0.5, 0.5]))
+        assert np.allclose(nn.flatten(out), 0.2, atol=1e-12)
+
     def test_weight_scaling_is_bit_identical(self):
         # Doubling sizes (or halving trust uniformly) must not move a bit.
         models = [constant_model(v) for v in (0.3, 1.7, -2.2)]

@@ -356,6 +356,44 @@ class TestModelParams:
             model.layers[0].weights[0, 0] = 1.0
 
 
+class TestImmutableArrays:
+    """Layer arrays sit in immutable ``bytes``: numpy refuses to make them
+    writable again, so a model's kept bytes and digest cannot go stale."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=4), st.integers(0, 2**32 - 1))
+    def test_no_public_constructor_returns_a_writable_array(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, dims)
+        x = rng.standard_normal((6, dims[0]))
+        y = rng.integers(0, dims[-1], 6)
+        trained = nn.sgd_train(model, x, y, nn.TrainConfig(0.1, 1, 4, seed))
+        built = [
+            model,
+            trained,
+            nn.init_mlp(dims[0], dims[1], dims[-1], seed),
+            nn.lincomb([model, trained], [0.5, 0.5]),
+            nn.from_bytes(nn.to_bytes(model)),
+            nn.ModelParams(tuple(nn.gradients(model, x, y))),
+        ]
+        arrays = [arr for m in built for layer in m.layers for arr in (layer.weights, layer.bias)]
+        ug = nn.extract_ultimate_gradient(model, trained, 0.1, client_id=3, round_index=1)
+        direct = nn.UltimateGradient(rng.standard_normal((dims[-1], dims[-2])),
+                                     rng.standard_normal(dims[-1]), 3, 1)
+        arrays += [ug.du, ug.db, direct.du, direct.db]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    def test_layer_keeps_its_own_copy_of_a_writable_input(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        layer = nn.Layer(w, b)
+        w[0, 0] = 9.0
+        b[1] = 9.0
+        assert (layer.weights == 1.0).all() and (layer.bias == 0.0).all()
+
+
 # Reference kernels: the straightforward out-of-place forms the in-place
 # training path must reproduce bit for bit.
 
