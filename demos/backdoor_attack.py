@@ -31,7 +31,7 @@ for m in defended.metrics[::12]:
     tpr = "-" if m.tpr is None else f"{m.tpr:.2f}"
     print(f"   round {m.round_index:3d}: ma={m.ma:.3f} ba={m.ba:.3f} tpr={tpr}")
 
-attackers = defended.diagnostics["attackers"]
+attackers = set(defended.summary["attackers"])
 trust = defended.trust
 att_trust = np.mean([trust.trust(c) for c in attackers])
 ben_trust = np.mean([trust.trust(c) for c in range(40) if c not in attackers])

@@ -13,8 +13,9 @@ import functools
 import json
 import math
 import numbers
+import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from .clients import Attack, AttackParams, ClientProfile, local_round
 from .data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, load_csv, partition_non_iid, triggered_testset
 from .errors import ConfigError, DegenerateAggregationError, DomainError, NumericalError
 from .seeds import derive_seed
+
+_TEST_FRACTION = 0.2   # holdout share of a CSV data set
 
 __all__ = [
     "SimConfig",
@@ -67,10 +70,8 @@ class SimConfig:
     trigger_value: float = 5.0
     target_class: int = 0
     edge_case: bool = False
-    replace_gamma: float = None   # default: queue_size
     pgd_delta: float = None       # default: 0.8 * median benign warm-up norm
     data_csv: str = None
-    test_fraction: float = 0.2    # holdout share when loading from CSV
     pool_factor: float = 1.6      # synthetic pool size margin for partitioning
     data_separation: float = 5.0
     warm_start_size: int = 2000   # held-out samples to pre-train the initial model (0 = raw init)
@@ -165,13 +166,13 @@ def _parse_value(f, text: str):
 
 
 def _fits(kind, value) -> bool:
-    """Whether ``value`` passes as ``kind``; numpy integers pass as ints, ints as floats."""
+    """Whether ``value`` passes as ``kind``; numpy integers pass as ints, ints in float range as floats."""
     if kind is tuple:
-        return isinstance(value, tuple) and all(_fits(int, c) for c in value)
+        return isinstance(value, tuple) and len(value) > 0 and all(_fits(int, c) for c in value)
     if isinstance(value, bool) or kind is bool:
         return isinstance(value, bool) and kind is bool
     if kind is float:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     return isinstance(value, numbers.Integral if kind is int else kind)
 
 
@@ -200,7 +201,6 @@ class RunResult:
     final_model: nn.ModelParams
     state: ledger.ContractState
     trust: ledger.TrustLedger
-    diagnostics: dict = field(default_factory=dict)
 
 
 def eval_ma(model: nn.ModelParams, test: Dataset) -> float:
@@ -241,7 +241,7 @@ def _load_csv_data(cfg: SimConfig):
     full = load_csv(cfg.data_csv)
     rng = np.random.default_rng(derive_seed(cfg.seed, "csv_split"))
     order = rng.permutation(len(full))
-    n_test = max(1, int(round(cfg.test_fraction * len(full))))
+    n_test = max(1, int(round(_TEST_FRACTION * len(full))))
     test = full.subset(order[:n_test])
     parts = partition_non_iid(full.subset(order[n_test:]), PartitionSpec(
         cfg.n_clients, cfg.non_iid_degree, cfg.per_client_size,
@@ -356,11 +356,10 @@ def run(cfg: SimConfig) -> RunResult:
 
 def _run(cfg: SimConfig) -> RunResult:
     cfg.validate()
-    master = cfg.seed
     if cfg.data_csv is not None:
         parts, test = _load_csv_data(cfg)
     else:
-        parts, test = _synthetic_data(master, cfg.n_clients, cfg.non_iid_degree,
+        parts, test = _synthetic_data(cfg.seed, cfg.n_clients, cfg.non_iid_degree,
                                       cfg.per_client_size, cfg.pool_factor, cfg.n_classes,
                                       cfg.n_features, cfg.data_separation, cfg.test_size)
     attackers = _pick_attackers(cfg)
@@ -376,11 +375,11 @@ def _run(cfg: SimConfig) -> RunResult:
     triggered = triggered_testset(test, poison_spec)
 
     if cfg.warm_start_size > 0 and cfg.data_csv is None:
-        global_model = _warm_start(master, cfg.n_features, cfg.hidden_width, cfg.n_classes,
+        global_model = _warm_start(cfg.seed, cfg.n_features, cfg.hidden_width, cfg.n_classes,
                                    cfg.warm_start_size, cfg.warm_start_epochs, cfg.data_separation)
     else:
         global_model = nn.init_mlp(test.n_features, cfg.hidden_width, test.n_classes,
-                                   derive_seed(master, "init"))
+                                   derive_seed(cfg.seed, "init"))
     store = ledger.OffchainStore()
     state = ledger.ContractState(cfg.queue_size, store.put(nn.to_bytes(global_model)))
     trust = ledger.TrustLedger()
@@ -389,66 +388,24 @@ def _run(cfg: SimConfig) -> RunResult:
     attack_params = None
     if cfg.attack in (Attack.PGD.value, Attack.PGD_MR.value) and attackers:
         delta = cfg.pgd_delta if cfg.pgd_delta is not None else _measure_pgd_delta(cfg, profiles, global_model)
-        gamma = cfg.replace_gamma if cfg.replace_gamma is not None else float(cfg.queue_size)
-        attack_params = AttackParams(gamma=gamma, delta=delta)
+        attack_params = AttackParams(gamma=float(cfg.queue_size), delta=delta)
 
     metrics = []
-    pending_reports = []   # (apply_at_round, reports) when verify_lag > 0
+    due = {}   # round -> the reports whose trust updates apply in it
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
         state.round_counter = t
-        rng = np.random.default_rng(derive_seed(master, "round", t, "sample"))
-        sampled = sorted(int(c) for c in rng.choice(cfg.n_clients, size=cfg.queue_size, replace=False))
-        submissions = {}
-        for cid in sampled:
-            train_cfg = nn.TrainConfig(cfg.learning_rate, cfg.local_epochs, cfg.batch_size,
-                                       derive_seed(master, "round", t, "client", cid))
-            sub = local_round(profiles[cid], global_model, train_cfg, t, attack_params)
-            store.put(nn.to_bytes(sub.model))
-            ledger.submit(state, store, sub)
-            submissions[cid] = sub
-
+        submissions = _local_rounds(cfg, t, profiles, global_model, attack_params, state, store)
         if cfg.defense_enabled:
-            mset = ledger.select_verification_set(state)
-            verifiers = ledger.select_verifiers(state, trust, cfg.n_verifiers, cfg.verifier_policy,
-                                                derive_seed(master, "round", t, "verifiers"),
-                                                open_pool=verifier_pool)
-            reports = []
-            if verifiers:
-                assignment = defense.assign_clients_to_verifiers(
-                    mset, verifiers, cfg.verify_subset_size,
-                    derive_seed(master, "round", t, "assign"))
-                snapshot = trust.snapshot()
-                for vid in sorted(assignment):
-                    task = defense.make_task(vid, [submissions[c] for c in assignment[vid]],
-                                             global_model, cfg.learning_rate, snapshot, t)
-                    report = defense.verify(task)
-                    if cfg.force_unit_scores:
-                        report = defense.ScoreReport(vid, {c: 1.0 for c in report.scores}, t)
-                    elif vid in bad_verifiers:
-                        report = defense.corrupt_report(report, cfg.bad_verifier_mode,
-                                                        derive_seed(master, "round", t, "corrupt", vid))
-                    state.log(ledger.SCORES_RECEIVED, client_id=vid)
-                    reports.append(report)
-            pending_reports.append((t + cfg.verify_lag, reports))
-            while pending_reports and pending_reports[0][0] <= t:
-                _, due = pending_reports.pop(0)
-                for report in due:
-                    for cid in sorted(report.scores):
-                        trust.update(cid, report.scores[cid])
-        spent = {sub.model_digest for sub in state.queue}
-        spent.add(state.global_model_digest)
-        try:
-            global_model = ledger.aggregate(state, trust, store)
-        except DegenerateAggregationError:
-            pass  # keep the previous global model
-        # Nothing reads an aggregated queue's blobs or a replaced global model
-        # again.  A submission may share the new global model's digest.
-        store.discard(spent - {state.global_model_digest})
-
+            due[t + cfg.verify_lag] = _verify(cfg, t, submissions, global_model, state, trust,
+                                              verifier_pool, bad_verifiers)
+            for report in due.pop(t, ()):
+                for cid in sorted(report.scores):
+                    trust.update(cid, report.scores[cid])
+        global_model = _aggregate(state, trust, store, global_model)
         ma = eval_ma(global_model, test)
         ba = eval_ba(global_model, triggered, cfg.target_class) if len(triggered) else 0.0
-        tpr, tnr = eval_detection(sampled, trust, attackers)
+        tpr, tnr = eval_detection(list(submissions), trust, attackers)
         metrics.append(RoundMetrics(t, ma, ba, tpr, tnr, time.perf_counter() - started))
 
     final = metrics[-1]
@@ -465,12 +422,60 @@ def _run(cfg: SimConfig) -> RunResult:
         "attackers": sorted(attackers),
         "bad_verifiers": sorted(bad_verifiers),
     }
-    diagnostics = {
-        "attackers": attackers,
-        "bad_verifiers": bad_verifiers,
-        "attack_params": attack_params,
-    }
-    return RunResult(cfg, metrics, summary, global_model, state, trust, diagnostics)
+    return RunResult(cfg, metrics, summary, global_model, state, trust)
+
+
+def _local_rounds(cfg: SimConfig, t, profiles, global_model, attack_params, state, store) -> dict:
+    """Round ``t``'s sampled clients train, store and submit; returns their submissions by id."""
+    rng = np.random.default_rng(derive_seed(cfg.seed, "round", t, "sample"))
+    sampled = sorted(int(c) for c in rng.choice(cfg.n_clients, size=cfg.queue_size, replace=False))
+    submissions = {}
+    for cid in sampled:
+        train_cfg = nn.TrainConfig(cfg.learning_rate, cfg.local_epochs, cfg.batch_size,
+                                   derive_seed(cfg.seed, "round", t, "client", cid))
+        sub = local_round(profiles[cid], global_model, train_cfg, t, attack_params)
+        store.put(nn.to_bytes(sub.model))
+        ledger.submit(state, store, sub)
+        submissions[cid] = sub
+    return submissions
+
+
+def _verify(cfg: SimConfig, t, submissions, global_model, state, trust, verifier_pool, bad_verifiers) -> list:
+    """Round ``t``'s score reports on the queued clients, forced or corrupted as configured."""
+    mset = ledger.select_verification_set(state)
+    verifiers = ledger.select_verifiers(state, trust, cfg.n_verifiers, cfg.verifier_policy,
+                                        derive_seed(cfg.seed, "round", t, "verifiers"),
+                                        open_pool=verifier_pool)
+    assignment = defense.assign_clients_to_verifiers(
+        mset, verifiers, cfg.verify_subset_size, derive_seed(cfg.seed, "round", t, "assign"))
+    snapshot = trust.snapshot()
+    reports = []
+    for vid in sorted(assignment):
+        task = defense.make_task(vid, [submissions[c] for c in assignment[vid]],
+                                 global_model, cfg.learning_rate, snapshot, t)
+        report = defense.verify(task)
+        if cfg.force_unit_scores:
+            report = defense.ScoreReport(vid, {c: 1.0 for c in report.scores}, t)
+        elif vid in bad_verifiers:
+            report = defense.corrupt_report(report, cfg.bad_verifier_mode,
+                                            derive_seed(cfg.seed, "round", t, "corrupt", vid))
+        state.log(ledger.SCORES_RECEIVED, client_id=vid)
+        reports.append(report)
+    return reports
+
+
+def _aggregate(state, trust, store, global_model) -> nn.ModelParams:
+    """The contract's new global model, or ``global_model`` when every weight is zero."""
+    spent = {sub.model_digest for sub in state.queue}
+    spent.add(state.global_model_digest)
+    try:
+        global_model = ledger.aggregate(state, trust, store)
+    except DegenerateAggregationError:
+        pass  # keep the previous global model
+    # Nothing reads an aggregated queue's blobs or a replaced global model
+    # again.  A submission may share the new global model's digest.
+    store.discard(spent - {state.global_model_digest})
+    return global_model
 
 
 def emit(result: RunResult, out_dir) -> dict:

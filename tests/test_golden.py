@@ -5,22 +5,28 @@ SHA-256 of the final model's canonical bytes and every round's
 (MA, BA, TPR, TNR) as space-separated ``float.hex`` strings (``None`` when the
 queue held no attacker or no benign client), so any change to the
 arithmetic, the order of random draws or the aggregation shows up as a
-mismatch.  Refactors and speed-ups must leave this file green without
-touching the fixture.
+mismatch.  A second fixture holds the SHA-256 of each case's contract event
+log, so a change to which events are logged, or in what order, shows up too.
+Refactors and speed-ups must leave this file green without touching the
+fixtures.
 
 Re-record (only when behaviour is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import functools
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from trustfed import ledger
 from trustfed.harness import SimConfig, run
 from trustfed.hashing import model_digest
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
+EVENTS_FIXTURE = Path(__file__).with_name("golden_events.json")
 
 ROUNDS = 8
 DESK = dict(n_clients=40, queue_size=10, verify_set_size=10, n_verifiers=5,
@@ -53,17 +59,37 @@ def _hex(value):
     return "None" if value is None else float(value).hex()
 
 
+@functools.lru_cache(maxsize=None)
+def _run_once(items):
+    """One run per case, shared by the digest and the event-log tests."""
+    return run(SimConfig(**DESK, **dict(items)))
+
+
+def _result(overrides):
+    return _run_once(tuple(sorted(overrides.items())))
+
+
 def observe(overrides) -> dict:
-    result = run(SimConfig(**DESK, **overrides))
+    result = _result(overrides)
     return {
         "model": model_digest(result.final_model),
         "rounds": [" ".join(_hex(v) for v in (m.ma, m.ba, m.tpr, m.tnr)) for m in result.metrics],
     }
 
 
+def events_digest(overrides) -> str:
+    log = "\n".join(ledger.export_events(_result(overrides).state))
+    return hashlib.sha256(log.encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_events():
+    return json.loads(EVENTS_FIXTURE.read_text())
 
 
 def test_fixture_covers_every_case(golden):
@@ -75,7 +101,14 @@ def test_run_matches_golden(case, golden):
     assert observe(CASES[case]) == golden[case]
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_event_log_matches_golden(case, golden_events):
+    assert events_digest(CASES[case]) == golden_events[case]
+
+
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps({name: observe(o) for name, o in sorted(CASES.items())},
                                   indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(CASES)} cases in {FIXTURE}")
+    EVENTS_FIXTURE.write_text(json.dumps({name: events_digest(o) for name, o in sorted(CASES.items())},
+                                         indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(CASES)} cases in {FIXTURE} and {EVENTS_FIXTURE}")

@@ -180,6 +180,25 @@ class TestRun:
         # lag keeps round-1 trust untouched, so nobody is flagged yet
         assert res.metrics[0].tpr in (None, 0.0)
 
+    def test_round_without_verifiers_scores_nobody(self, monkeypatch):
+        # With no verifier drawn, the round still opens verification, nobody
+        # reports, and uniform trust aggregates exactly as plain FedAvg.
+        common = dict(FAST, rounds=4, attacker_ratio=0.25, attack="blackbox", seed=16)
+        plain = run(SimConfig(defense_enabled=False, **common))
+        monkeypatch.setattr(ledger, "select_verifiers", lambda *args, **kwargs: ())
+        result = run(SimConfig(**common))
+        kinds = [(e.round_index, e.kind) for e in result.state.events]
+        assert all((t, ledger.VERIFICATION_REQUESTED) in kinds for t in range(1, 5))
+        assert not any(kind == ledger.SCORES_RECEIVED for _, kind in kinds)
+        assert model_digest(result.final_model) == model_digest(plain.final_model)
+
+    def test_lag_of_the_whole_run_applies_no_report(self):
+        common = dict(FAST, attacker_ratio=0.25, attack="blackbox", seed=17)
+        plain = run(SimConfig(defense_enabled=False, **common))
+        result = run(SimConfig(verify_lag=FAST["rounds"], **common))
+        assert all(result.trust.count(cid) == 0 for cid in result.trust.clients())
+        assert model_digest(result.final_model) == model_digest(plain.final_model)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             SimConfig(queue_size=50, n_clients=10).validate()
@@ -486,6 +505,9 @@ class TestConfigFile:
         {"learning_rate": float("inf")},
         {"trigger_coords": (1, 2.0)},
         {"attack": "none", "data_csv": 3},
+        {"learning_rate": 10**400},
+        {"trigger_value": 10**400},
+        {"trigger_coords": ()},
     ])
     def test_wrongly_typed_library_value_rejected_by_validate(self, overrides):
         cfg = SimConfig(**overrides)
