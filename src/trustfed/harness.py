@@ -122,6 +122,8 @@ class SimConfig:
             raise ConfigError("verify_lag must be nonnegative")
         if self.warm_start_size < 0:
             raise ConfigError("warm_start_size must be nonnegative")
+        if min(self.trigger_coords) < 0:
+            raise ConfigError("trigger_coords must be nonnegative feature indices")
         if self.data_csv is None:
             if not 0 <= self.target_class < self.n_classes:
                 raise ConfigError("target_class out of range")

@@ -16,6 +16,14 @@ draw's keys come in fixed blocks of rows; that is the same random stream as
 drawing them at once, and the first v draws are the same either way, so the
 report is bit-identical to summing over full ``mc_coverage`` runs.
 
+A draw of size l picks the l smallest of a row's m uniform keys.  Each block
+is sorted row by row and every row picks its keys at or below its l-th
+smallest, the same set ``np.argpartition`` picks whenever the l-th and
+(l+1)-th smallest differ; the rare rows where they tie take argpartition's
+own picks.  The speed comes from numpy's SIMD sort: with its AVX2/AVX-512
+dispatch switched off, sorting is slower than argpartition at m = 30, though
+the reports stay the same.
+
 ``coverage_report`` compares the closed forms with the oracle and flags any
 disagreement beyond three standard errors instead of hiding it; in
 particular the closed-form ``expected_L`` sum starts one unit below the
@@ -132,18 +140,32 @@ def _mc_subsets(m: int, subset_size: int, trials: int, rng, limit: int = None) -
     # either way.  Only the coverage rows of uncovered trials are kept.  Each
     # draw's keys come in blocks of rows through one reused buffer, the same
     # row-major stream as drawing them all at once in far less memory.
+    # Picks are read off a sorted copy (see the module docstring).  A row
+    # tied across the cut takes argpartition's picks; it picks row by row, so
+    # they are the ones it made on the whole block.  ``ranked[:, l]`` needs
+    # l < m, which every caller ensures.
+    l = subset_size
     draws = np.full(trials, 0 if limit is None else limit + 1, dtype=np.int64)
     covered = np.zeros((trials, m), dtype=bool)
     active = np.arange(trials)
     keys = np.empty((min(trials, _KEY_ROWS), m))
+    sorted_keys = np.empty_like(keys)
     step = 0
     while active.size and (limit is None or step < limit):
         step += 1
         for lo in range(0, active.size, _KEY_ROWS):
             block = keys[:min(_KEY_ROWS, active.size - lo)]
             rng.random(out=block)
-            picks = np.argpartition(block, subset_size - 1, axis=1)[:, :subset_size]
-            np.put_along_axis(covered[lo:lo + len(block)], picks, True, axis=1)
+            ranked = sorted_keys[:len(block)]
+            np.copyto(ranked, block)
+            ranked.sort(axis=1)
+            picked = block <= ranked[:, l - 1:l]
+            tied = np.flatnonzero(ranked[:, l - 1] == ranked[:, l])
+            if tied.size:
+                picked[tied] = False
+                picks = np.argpartition(block[tied], l - 1, axis=1)[:, :l]
+                picked[tied[:, None], picks] = True
+            covered[lo:lo + len(block)] |= picked
         done = covered.all(axis=1)
         if done.any():
             draws[active[done]] = step

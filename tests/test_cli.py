@@ -168,6 +168,7 @@ class TestConfigEdgeCases:
         {"target_class": 5},
         {"trigger_coords": "1,2,20"},
         {"warm_start_size": -5},
+        {"trigger_coords": "1,-2"},
     ])
     def test_rejected_by_validate_and_by_run(self, tmp_path, capsys, overrides):
         cfg = desk_config(tmp_path, **overrides)

@@ -514,6 +514,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=list(overrides)[-1]):
             cfg.validate()
 
+    # Also with a CSV data set, whose feature count validate cannot know.
+    @pytest.mark.parametrize("data_csv", [None, "data.csv"])
+    def test_negative_trigger_coordinate_rejected_by_validate(self, data_csv):
+        cfg = SimConfig(trigger_coords=(1, -1), data_csv=data_csv)
+        with pytest.raises(ConfigError, match="trigger_coords"):
+            cfg.validate()
+
     def test_numpy_integers_pass_as_ints_and_ints_as_floats(self):
         cfg = SimConfig(rounds=np.int64(3), seed=np.int32(4), learning_rate=1, trigger_value=5)
         assert cfg.validate() is cfg

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustfed import planner
 from trustfed.errors import DomainError
@@ -186,6 +187,62 @@ class TestSubsetSizeOracle:
     def test_equals_reference_sum_over_mc_coverage(self, m, v):
         got = planner.mc_mean_covering_subset_size(m, v, 3000, seed=7)
         assert got == _reference_tail_sum(m, v, 3000, 7)
+
+
+class CoarseKeys:
+    """A generator whose keys are multiples of 1 / levels, so rows tie often.
+
+    Drawn through ``out=`` in blocks or as one array, it gives the same
+    row-major stream, like ``numpy.random.Generator.random``.
+    """
+
+    def __init__(self, seed, levels):
+        self._rng = np.random.default_rng(seed)
+        self._levels = levels
+
+    def random(self, size=None, out=None):
+        keys = self._rng.random(size if out is None else out.shape)
+        if self._levels is not None:
+            keys = np.floor(keys * self._levels) / self._levels
+        if out is None:
+            return keys
+        out[...] = keys
+        return out
+
+
+def _straddles_cut(m, subset_size, trials, seed, levels):
+    # Whether any row of the first draw ties its l-th and (l+1)-th smallest key.
+    ranked = np.sort(CoarseKeys(seed, levels).random((trials, m)), axis=1)
+    return bool((ranked[:, subset_size - 1] == ranked[:, subset_size]).any())
+
+
+class TestTiedKeys:
+    # Keys in steps of 1/4 tie across the cut in most rows; those rows must
+    # still get exactly argpartition's picks.  5000 trials span three blocks.
+    @pytest.mark.parametrize("limit", [None, 1, 4, 1000])
+    def test_ties_across_the_cut_keep_argpartition_picks(self, limit):
+        assert _straddles_cut(9, 3, 5000, 12, levels=4)
+        full = _reference_subsets(9, 3, 5000, CoarseKeys(12, levels=4))
+        got = planner._mc_subsets(9, 3, 5000, CoarseKeys(12, levels=4), limit=limit)
+        expected = full if limit is None else np.minimum(full, limit + 1)
+        assert np.array_equal(got, expected)
+
+    # Key levels scale with m, so ties across the cut are common yet every
+    # client still gets picked often: with a few levels shared by many keys,
+    # argpartition's fixed tie order could leave a client unpicked for
+    # thousands of draws.
+    @settings(deadline=None, max_examples=30)
+    @given(st.data(), st.integers(3, 80),
+           st.one_of(st.integers(1, 300), st.integers(2049, 2300)),
+           st.sampled_from([None, 1, 4]), st.one_of(st.none(), st.integers(1, 40)),
+           st.integers(0, 2**32 - 1))
+    def test_draws_equal_the_reference(self, data, m, trials, levels_per_client, limit, seed):
+        subset_size = data.draw(st.integers(2, m - 1), label="subset_size")
+        levels = None if levels_per_client is None else levels_per_client * m
+        full = _reference_subsets(m, subset_size, trials, CoarseKeys(seed, levels))
+        got = planner._mc_subsets(m, subset_size, trials, CoarseKeys(seed, levels), limit=limit)
+        expected = full if limit is None else np.minimum(full, limit + 1)
+        assert np.array_equal(got, expected)
 
 
 # Every numeric field of coverage_report, as float.hex, for both planning
