@@ -225,7 +225,9 @@ def triggered_testset(data: Dataset, spec: PoisonSpec) -> Dataset:
 def load_csv(path, n_classes: int = None) -> Dataset:
     """Read samples from CSV rows of ``d`` feature columns plus an integer label.
 
-    A header row, a non-numeric cell or a ragged row raises ``DomainError``.
+    A header row, a non-numeric cell, a ragged row or a label that is not an
+    exact integer below 2**53 in magnitude (where float64 stops holding every
+    integer) raises ``DomainError``.
     """
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -235,8 +237,8 @@ def load_csv(path, n_classes: int = None) -> Dataset:
         raise DomainError("CSV needs at least one feature column and a label column")
     x = raw[:, :-1]
     y = raw[:, -1]
-    if not np.allclose(y, np.round(y)):
-        raise DomainError("label column must be integral")
+    if not ((y == np.round(y)) & (np.abs(y) < 2.0**53)).all():
+        raise DomainError("label column must hold exact integers")
     y = y.astype(np.int64)
     if n_classes is None:
         n_classes = int(y.max()) + 1

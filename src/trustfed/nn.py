@@ -106,20 +106,14 @@ class ModelParams:
         return last.weights, last.bias
 
     def same_architecture(self, other: "ModelParams") -> bool:
-        return len(self.layers) == len(other.layers) and all(
-            a.weights.shape == b.weights.shape for a, b in zip(self.layers, other.layers)
-        )
+        return _shapes(self) == _shapes(other)
 
     @cached_property
     def canonical_bytes(self) -> bytes:
         """The serialization ``to_bytes`` returns (format described there)."""
-        out = [struct.pack("<I", len(self.layers))]
-        for layer in self.layers:
-            out.append(struct.pack("<II", layer.out_dim, layer.in_dim))
-        for layer in self.layers:
-            out.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            out.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
-        return b"".join(out)
+        dims = [d for shape in _shapes(self) for d in shape]
+        header = struct.pack(f"<{1 + len(dims)}I", len(self.layers), *dims)
+        return header + flatten(self).astype("<f8", copy=False).tobytes()
 
     @cached_property
     def digest(self) -> str:
@@ -197,17 +191,33 @@ def _raw(model: ModelParams):
     return [layer.weights for layer in model.layers], [layer.bias for layer in model.layers]
 
 
-def _views(flat: np.ndarray, model: ModelParams):
-    """Per-layer weight and bias views into a flat vector laid out like ``flatten(model)``."""
+def _shapes(model: ModelParams):
+    """Each layer's weight shape, (out, in), in layer order."""
+    return [layer.weights.shape for layer in model.layers]
+
+
+def _views(flat: np.ndarray, shapes):
+    """Per-layer weight and bias views into ``flat``; ``flatten`` is the inverse.
+
+    The one owner of the parameter layout: row-major weights, then bias, layer
+    by layer, for layers of the given (out, in) ``shapes``.  A vector of any
+    other length raises ``ShapeError``.
+    """
+    if flat.size != sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes):
+        raise ShapeError(f"{flat.size} parameters do not fill layers of shapes {shapes}")
     weights, biases = [], []
     offset = 0
-    for layer in model.layers:
-        out_dim, in_dim = layer.weights.shape
+    for out_dim, in_dim in shapes:
         weights.append(flat[offset : offset + out_dim * in_dim].reshape(out_dim, in_dim))
         offset += out_dim * in_dim
         biases.append(flat[offset : offset + out_dim])
         offset += out_dim
     return weights, biases
+
+
+def _from_flat(flat: np.ndarray, shapes) -> ModelParams:
+    """The model whose ``flatten`` is ``flat``; each layer copies its slice."""
+    return ModelParams(tuple(Layer(w, b) for w, b in zip(*_views(flat, shapes))))
 
 
 def _check_batch(model: ModelParams, x) -> np.ndarray:
@@ -285,9 +295,10 @@ def gradients(model: ModelParams, x: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=int)
     if y.size == 0:
         raise DomainError("gradient needs a nonempty sample set")
-    grad_w, grad_b = _views(np.empty_like(flatten(model)), model)
-    _grads_raw(*_raw(model), _check_batch(model, x), _onehot(model, y), grad_w, grad_b)
-    return [Layer(w, b) for w, b in zip(grad_w, grad_b)]
+    shapes = _shapes(model)
+    grads = np.empty_like(flatten(model))
+    _grads_raw(*_raw(model), _check_batch(model, x), _onehot(model, y), *_views(grads, shapes))
+    return list(_from_flat(grads, shapes).layers)
 
 
 def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ModelParams:
@@ -309,10 +320,11 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
         raise DomainError("training needs a nonempty sample set")
     onehot = _onehot(model, y)
     rng = np.random.default_rng(cfg.seed)
+    shapes = _shapes(model)
     params = flatten(model)
     grads = np.empty_like(params)
-    weights, biases = _views(params, model)
-    grad_w, grad_b = _views(grads, model)
+    weights, biases = _views(params, shapes)
+    grad_w, grad_b = _views(grads, shapes)
     lr = cfg.learning_rate
     n = y.size
     step = min(cfg.batch_size, n)
@@ -324,7 +336,7 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
                        grad_w, grad_b)
             grads *= lr
             params -= grads
-    return ModelParams(tuple(Layer(w, b) for w, b in zip(weights, biases)))
+    return _from_flat(params, shapes)
 
 
 def extract_ultimate_gradient(
@@ -366,30 +378,22 @@ def lincomb(models, coeffs) -> ModelParams:
     for m in models[1:]:
         if not first.same_architecture(m):
             raise ShapeError("models have different architectures")
-    layers = []
-    for k in range(len(first.layers)):
-        w = np.zeros_like(first.layers[k].weights)
-        b = np.zeros_like(first.layers[k].bias)
-        for c, m in zip(coeffs, models):
-            w += c * m.layers[k].weights
-            b += c * m.layers[k].bias
-        layers.append(Layer(w, b))
-    return ModelParams(tuple(layers))
+    # sum() starts from 0, so each entry is 0 + c_0 x_0 + c_1 x_1 + ... left
+    # to right, exactly as a zero-filled accumulator adds it up.
+    return _from_flat(sum(c * flatten(m) for c, m in zip(coeffs, models)), _shapes(first))
 
 
 def flatten(model: ModelParams) -> np.ndarray:
-    """All parameters as one float64 vector (row-major, layer order)."""
-    parts = []
-    for layer in model.layers:
-        parts.append(layer.weights.ravel())
-        parts.append(layer.bias)
-    return np.concatenate(parts)
+    """All parameters as one float64 vector, laid out as ``_views`` reads it."""
+    return np.concatenate([part for layer in model.layers
+                           for part in (layer.weights.ravel(), layer.bias)])
 
 
 # Canonical serialization: a fixed-width architecture header (layer count and
-# per-layer dims, 32-bit little-endian unsigned) followed by row-major
-# little-endian float64 payloads, weights then bias per layer.  Hashes of these
-# bytes identify models in the off-chain store; each model keeps its own.
+# per-layer dims, 32-bit little-endian unsigned) followed by ``flatten(model)``
+# as little-endian float64.  ``_views`` and ``flatten`` own the payload's
+# layout.  Hashes of these bytes identify models in the off-chain store; each
+# model keeps its own.
 
 def to_bytes(model: ModelParams) -> bytes:
     return model.canonical_bytes
@@ -397,22 +401,9 @@ def to_bytes(model: ModelParams) -> bytes:
 
 def from_bytes(blob: bytes) -> ModelParams:
     try:
-        (n_layers,) = struct.unpack_from("<I", blob, 0)
-        offset = 4
-        dims = []
-        for _ in range(n_layers):
-            out_dim, in_dim = struct.unpack_from("<II", blob, offset)
-            dims.append((out_dim, in_dim))
-            offset += 8
-        layers = []
-        for out_dim, in_dim in dims:
-            w = np.frombuffer(blob, dtype="<f8", count=out_dim * in_dim, offset=offset)
-            offset += 8 * out_dim * in_dim
-            b = np.frombuffer(blob, dtype="<f8", count=out_dim, offset=offset)
-            offset += 8 * out_dim
-            layers.append(Layer(w.reshape(out_dim, in_dim), b))
+        (n_layers,) = struct.unpack_from("<I", blob)
+        dims = struct.unpack_from(f"<{2 * n_layers}I", blob, 4)
+        flat = np.frombuffer(blob, dtype="<f8", offset=4 + 8 * n_layers)
     except (struct.error, ValueError) as exc:
         raise ShapeError(f"malformed model serialization: {exc}") from exc
-    if offset != len(blob):
-        raise ShapeError("trailing bytes in model serialization")
-    return ModelParams(tuple(layers))
+    return _from_flat(flat, list(zip(dims[::2], dims[1::2])))

@@ -238,7 +238,9 @@ def coverage_report(m: int, v: int = None, subset_size: int = None,
     Exactly one of ``v`` (plan the subset size) or ``subset_size`` (plan the
     verifier count) must be given.  The result carries both values, the
     standard error, the gap in sigmas, and a note whenever the closed form and
-    the simulation disagree beyond three standard errors.
+    the simulation disagree beyond three standard errors.  With a zero
+    standard error the gap is 0 if the two values are equal and infinite if
+    they are not.
     """
     if (v is None) == (subset_size is None):
         raise DomainError("give exactly one of v or subset_size")
@@ -251,7 +253,8 @@ def coverage_report(m: int, v: int = None, subset_size: int = None,
         est = mc_coverage(m, subset_size, trials, seed)
         mc_value, se = est.mean, est.std_err
         quantity = "verifiers needed for full coverage"
-    gap_sigma = abs(closed - mc_value) / se if se > 0 else float("inf")
+    gap = abs(closed - mc_value)
+    gap_sigma = gap / se if se > 0 else (float("inf") if gap else 0.0)
     report = {
         "m": m,
         "quantity": quantity,

@@ -126,6 +126,18 @@ class TestMalformedCsv:
         err = capsys.readouterr().err
         assert "configuration error: malformed CSV" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("label", ["2.9999999", "-0.9999999", "inf", "1e20"])
+    def test_inexact_label_exits_with_config_error(self, tmp_path, capsys, label):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(self.CFG)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--data", str(data_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "label column must hold exact integers" in err and "Traceback" not in err
+
 
 class TestFaultInjection:
     # numpy's overflow warnings on the way to the error are a separate open item.

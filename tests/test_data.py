@@ -201,6 +201,16 @@ class TestCsv:
         assert np.allclose(loaded.x, ds.x)
         assert (loaded.y == ds.y).all()
 
+    # Near-integers are not labels: a cast would truncate 2.9999999 to class 2
+    # and -0.9999999 to class 0.  Past 2**53 a float64 is no exact integer.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("label", ["2.9999999", "-0.9999999", "inf", "nan", "1e20"])
+    def test_labels_must_be_exact_integers(self, tmp_path, label):
+        path = tmp_path / "near.csv"
+        path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(DomainError, match="exact integers"):
+            data.load_csv(path, n_classes=4)
+
     def test_non_integer_labels_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,0.5\n")

@@ -281,15 +281,31 @@ def reference_to_bytes(model):
     return b"".join(out)
 
 
+def reference_lincomb(models, coeffs):
+    """sum(c_i * m_i), accumulated layer by layer from zeros, written out independently of ``nn``."""
+    layers = []
+    for k in range(len(models[0].layers)):
+        w = np.zeros_like(models[0].layers[k].weights)
+        b = np.zeros_like(models[0].layers[k].bias)
+        for c, m in zip(coeffs, models):
+            w += c * m.layers[k].weights
+            b += c * m.layers[k].bias
+        layers.append(nn.Layer(w, b))
+    return nn.ModelParams(tuple(layers))
+
+
 # Finite float64 values, with the ones a byte format can get wrong drawn often.
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072e-308, 1e300, -1e300,
                1.7976931348623157e308]
 FLOATS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+# Weights as aggregation and the attacks use them, so most combinations stay finite.
+COEFFS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]), st.floats(-1.0, 1.0))
+DIMS = st.lists(st.integers(1, 5), min_size=2, max_size=4)
 
 
 @st.composite
-def models(draw):
-    dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+def models(draw, dims=DIMS):
+    dims = draw(dims)
     layers = []
     for out_dim, in_dim in zip(dims[1:], dims[:-1]):
         w = draw(st.lists(FLOATS, min_size=out_dim * in_dim, max_size=out_dim * in_dim))
@@ -338,6 +354,56 @@ class TestSerialization:
         model = single_layer(np.ones((2, 2)), np.zeros(2))
         with pytest.raises(ShapeError):
             nn.from_bytes(nn.to_bytes(model)[:-4])
+
+    @pytest.mark.parametrize("extra", [b"\x00" * 8, b"\x00" * 3], ids=["one-float", "part-float"])
+    def test_trailing_bytes_rejected(self, extra):
+        model = single_layer(np.ones((2, 2)), np.zeros(2))
+        with pytest.raises(ShapeError):
+            nn.from_bytes(nn.to_bytes(model) + extra)
+
+    @pytest.mark.parametrize("header", [
+        struct.pack("<3I", 1, 2, 3),                # one layer too few
+        struct.pack("<7I", 3, 4, 6, 3, 4, 2, 3),    # one layer too many
+        struct.pack("<5I", 2, 4, 6, 3, 5),          # wrong in-dim of the second layer
+        struct.pack("<5I", 2, 5, 6, 3, 4),          # wrong out-dim of the first layer
+        struct.pack("<5I", 2, 3, 4, 4, 6),          # same parameter count, dims do not chain
+        struct.pack("<I", 0),                       # no layers
+        struct.pack("<I", 2**32 - 1),               # more layers than the blob has header
+    ], ids=["fewer-layers", "more-layers", "in-dim", "out-dim", "unchained", "zero-layers",
+            "huge-count"])
+    def test_header_disagreeing_with_payload_rejected(self, header):
+        model = random_model(np.random.default_rng(5), [6, 4, 3])
+        payload = nn.to_bytes(model)[4 + 8 * len(model.layers):]
+        with pytest.raises(ShapeError):
+            nn.from_bytes(header + payload)
+
+    @pytest.mark.parametrize("blob", [b"", b"\x01\x00"], ids=["empty", "short-count"])
+    def test_blob_without_a_header_rejected(self, blob):
+        with pytest.raises(ShapeError):
+            nn.from_bytes(blob)
+
+
+class TestLincomb:
+    @settings(deadline=None)
+    @given(DIMS, st.integers(1, 4), st.data())
+    def test_matches_the_per_layer_loop_bit_for_bit(self, dims, k, data):
+        terms = [data.draw(models(st.just(dims))) for _ in range(k)]
+        coeffs = data.draw(st.lists(COEFFS, min_size=k, max_size=k))
+
+        def outcome(combine):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return nn.to_bytes(combine(terms, coeffs))
+            except NumericalError:
+                return "non-finite"
+
+        assert outcome(nn.lincomb) == outcome(reference_lincomb)
+
+    def test_signed_zero_terms_add_up_as_from_zeros(self):
+        model = single_layer(np.array([[-0.0, 1.0]]), np.array([-0.0]))
+        out = nn.lincomb([model], [1.0])
+        assert nn.to_bytes(out) == nn.to_bytes(reference_lincomb([model], [1.0]))
+        assert not np.signbit(out.layers[0].weights[0, 0])
 
 
 class TestModelParams:

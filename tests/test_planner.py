@@ -137,6 +137,22 @@ class TestCoverageReport:
         assert report["note"] is None
         assert report["gap_sigma"] <= 3.0
 
+    @pytest.mark.parametrize("m", [1, 5, 17, 39])
+    def test_exact_agreement_is_no_gap(self, m):
+        # Subsets of size M cover everything in one draw: the oracle's standard
+        # error is 0 and expected_V(M, M) is exactly 1.
+        report = planner.coverage_report(m, subset_size=m, trials=100, seed=4)
+        assert report["closed_form"] == report["mc_estimate"] == 1.0
+        assert report["mc_std_err"] == 0.0
+        assert report["gap_sigma"] == 0.0
+        assert report["note"] is None
+
+    def test_disagreement_with_zero_std_err_is_flagged(self):
+        report = planner.coverage_report(1, v=3, trials=100, seed=4)
+        assert (report["closed_form"], report["mc_estimate"], report["mc_std_err"]) == (0.0, 1.0, 0.0)
+        assert report["gap_sigma"] == math.inf
+        assert report["note"] is not None
+
     def test_exactly_one_target_required(self):
         with pytest.raises(DomainError):
             planner.coverage_report(5, v=2, subset_size=2)
