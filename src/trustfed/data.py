@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .nn import _frozen
 
 __all__ = [
     "Dataset",
@@ -40,15 +41,13 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
-        object.__setattr__(self, "x", np.frombuffer(x.tobytes()).reshape(x.shape))
-        object.__setattr__(self, "y", np.frombuffer(y.tobytes(), np.int64).reshape(y.shape))
-        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+        object.__setattr__(self, "x", _frozen(self.x))
+        object.__setattr__(self, "y", _frozen(self.y, np.int64))
+        if self.x.ndim != 2 or self.y.ndim != 1 or self.x.shape[0] != self.y.shape[0]:
             raise DomainError("features must be [n, d] with one label per row")
-        if not np.isfinite(x).all():
+        if not np.isfinite(self.x).all():
             raise DomainError("features contain non-finite entries")
-        if y.size and (y.min() < 0 or y.max() >= self.n_classes):
+        if self.y.size and (self.y.min() < 0 or self.y.max() >= self.n_classes):
             raise DomainError("labels out of range")
 
     def __len__(self) -> int:
@@ -158,7 +157,6 @@ def _poison_count(pdr: float, n: int) -> int:
 
 def _edge_candidates(data: Dataset) -> np.ndarray:
     """Indices of samples beyond two std-devs of distance from their class mean."""
-    dist = np.empty(len(data))
     tail = np.zeros(len(data), dtype=bool)
     for c in range(data.n_classes):
         members = np.flatnonzero(data.y == c)
@@ -166,7 +164,6 @@ def _edge_candidates(data: Dataset) -> np.ndarray:
             continue
         mu = data.x[members].mean(axis=0)
         d = np.linalg.norm(data.x[members] - mu, axis=1)
-        dist[members] = d
         tail[members] = d > d.mean() + 2.0 * d.std()
     return np.flatnonzero(tail)
 
@@ -213,7 +210,7 @@ def triggered_testset(data: Dataset, spec: PoisonSpec) -> Dataset:
     The result is relabeled to the target class and used only to measure how
     often a model follows the trigger.
     """
-    if max(spec.trigger_coords, default=0) >= data.n_features and len(data):
+    if max(spec.trigger_coords) >= data.n_features:
         raise DomainError("trigger coordinate out of feature range")
     keep = np.flatnonzero(data.y != spec.target_class)
     x = data.x[keep].copy()

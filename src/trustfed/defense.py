@@ -66,6 +66,8 @@ class VerificationTask:
     def __post_init__(self):
         ordered = tuple(sorted(self.clients, key=lambda c: c.client_id))
         object.__setattr__(self, "clients", ordered)
+        if len(ordered) < 2:
+            raise DomainError("a verification task needs at least two clients to compare")
         ids = [c.client_id for c in ordered]
         if len(set(ids)) != len(ids):
             raise DomainError("duplicate client in verification task")
@@ -123,11 +125,10 @@ def filter_gradient_similarity(task: VerificationTask) -> frozenset:
     The offset is taken as ``U_* - U_i``: since every client trains away from
     the same global weights, that offset points exactly along the client's
     gradient deviation from the cohort mean, and a score that is high for
-    coordinated updates requires this orientation.
+    coordinated updates requires this orientation.  The task guarantees at
+    least two clients.
     """
     clients = task.clients
-    if len(clients) < 2:
-        raise DomainError("similarity filter needs at least two clients")
     sizes = [c.data_size for c in clients]
     u_mean = _size_weighted_mean([c.u_local for c in clients], sizes)
     g_mean = _size_weighted_mean([c.du for c in clients], sizes)
@@ -185,11 +186,10 @@ def filter_byclass_kmeans(task: VerificationTask) -> frozenset:
 
     Each client's feature vector holds its L2 distances to every task member
     (self-distance zero included).  The suspicious cluster is the one holding
-    the client with the lowest trust in the snapshot, ties by lowest id.
+    the client with the lowest trust in the snapshot, ties by lowest id.  The
+    task guarantees at least two clients.
     """
     clients = task.clients
-    if len(clients) < 2:
-        raise DomainError("clustering filter needs at least two clients")
     mus = np.array([nn.by_class_gradient(c) for c in clients])
     features = np.linalg.norm(mus[:, None, :] - mus[None, :, :], axis=2)
     ids = task.client_ids()

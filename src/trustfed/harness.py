@@ -80,15 +80,6 @@ class SimConfig:
     force_unit_scores: bool = False
     seed: int = 1
 
-    def __post_init__(self):
-        try:
-            self.attack = Attack(self.attack).value
-        except ValueError:
-            raise ConfigError(
-                f"unknown attack {self.attack!r}; expected one of "
-                + ", ".join(a.value for a in Attack)
-            ) from None
-
     def validate(self):
         for f in fields(self):
             _checked(f, getattr(self, f.name))
@@ -112,6 +103,9 @@ class SimConfig:
             raise ConfigError(
                 "bad_verifier_fraction = 1 needs every client compromised (attacker_ratio = 1)"
             )
+        attacks = [a.value for a in Attack]
+        if self.attack not in attacks:
+            raise ConfigError(f"unknown attack {self.attack!r}; expected one of {', '.join(attacks)}")
         if self.bad_verifier_mode not in ("random", "reverse"):
             raise ConfigError("bad_verifier_mode must be random or reverse")
         if self.verifier_policy not in ("open", "caav"):

@@ -40,9 +40,9 @@ __all__ = [
 ]
 
 
-def _frozen(arr) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    return np.frombuffer(arr.tobytes()).reshape(arr.shape)
+def _frozen(arr, dtype=np.float64) -> np.ndarray:
+    arr = np.asarray(arr, dtype=dtype)
+    return np.frombuffer(arr.tobytes(), dtype).reshape(arr.shape)
 
 
 @dataclass(frozen=True)

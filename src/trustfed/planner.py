@@ -175,19 +175,24 @@ def _mc_subsets(m: int, subset_size: int, trials: int, rng, limit: int = None) -
     return draws
 
 
+def _draws(m: int, subset_size: int, trials: int, seed: int, limit: int = None) -> np.ndarray:
+    # The one rule for which random stream a subset size draws from: size m
+    # covers at once, size 1 sums geometrics, any other size sorts keys.
+    # ``limit`` caps only the sorted-key simulation (see ``_mc_subsets``).
+    if subset_size == m:
+        return np.ones(trials, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    if subset_size == 1:
+        return _mc_single_item(m, trials, rng)
+    return _mc_subsets(m, subset_size, trials, rng, limit)
+
+
 def mc_coverage(m: int, subset_size: int, trials: int, seed: int) -> CoverageEstimate:
     """Simulate drawing uniform subsets until the m-set is covered."""
     _check_positive(m=m, subset_size=subset_size, trials=trials)
     if subset_size > m:
         raise DomainError("subset_size cannot exceed m")
-    rng = np.random.default_rng(seed)
-    if subset_size == m:
-        draws = np.ones(trials, dtype=np.int64)
-    elif subset_size == 1:
-        draws = _mc_single_item(m, trials, rng)
-    else:
-        draws = _mc_subsets(m, subset_size, trials, rng)
-    return CoverageEstimate(m, subset_size, draws)
+    return CoverageEstimate(m, subset_size, _draws(m, subset_size, trials, seed))
 
 
 def _p_miss(m: int, subset_size: int, v: int, trials: int, seed: int) -> float:
@@ -196,12 +201,8 @@ def _p_miss(m: int, subset_size: int, v: int, trials: int, seed: int) -> float:
     # than v draws.  Fewer than m picks in all can never cover the m-set.
     if subset_size * v < m:
         return 1.0
-    rng = np.random.default_rng(seed)
-    if subset_size == 1:
-        draws = _mc_single_item(m, trials, rng)
-    else:
-        draws = _mc_subsets(m, subset_size, trials, rng, limit=v)
-    return 1.0 - float((draws <= v).mean())
+    est = CoverageEstimate(m, subset_size, _draws(m, subset_size, trials, seed, limit=v))
+    return 1.0 - est.prob_covered(v)
 
 
 def mc_mean_covering_subset_size(m: int, v: int, trials: int, seed: int):
@@ -240,7 +241,8 @@ def coverage_report(m: int, v: int = None, subset_size: int = None,
     standard error, the gap in sigmas, and a note whenever the closed form and
     the simulation disagree beyond three standard errors.  With a zero
     standard error the gap is 0 if the two values are equal and infinite if
-    they are not.
+    they are not.  The suggestion is the closed form rounded, but at least 1,
+    the smallest size or count the planner accepts.
     """
     if (v is None) == (subset_size is None):
         raise DomainError("give exactly one of v or subset_size")
@@ -259,7 +261,7 @@ def coverage_report(m: int, v: int = None, subset_size: int = None,
         "m": m,
         "quantity": quantity,
         "closed_form": closed,
-        "suggested": round(closed),
+        "suggested": max(1, round(closed)),
         "mc_estimate": mc_value,
         "mc_std_err": se,
         "gap_sigma": gap_sigma,

@@ -55,6 +55,12 @@ class TestDatasetArrays:
             with pytest.raises(ValueError):
                 arr.flags.writeable = True
 
+    def test_arrays_are_converted_to_float64_and_int64(self):
+        ds = data.Dataset(np.ones((3, 2), dtype=np.float32), np.array([0, 1, 1], dtype=np.int32), 2)
+        assert (ds.x.dtype, ds.y.dtype) == (np.float64, np.int64)
+        assert (ds.x == 1.0).all() and ds.y.tolist() == [0, 1, 1]
+        assert not (ds.x.flags.writeable or ds.y.flags.writeable)
+
 
 class TestPartition:
     def test_iid_histogram_roughly_uniform(self):
@@ -177,6 +183,11 @@ class TestTriggeredTestset:
     def test_empty_input(self):
         ds = data.Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
         assert len(data.triggered_testset(ds, self.spec())) == 0
+
+    def test_out_of_range_trigger_rejected_on_empty_input(self):
+        ds = data.Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
+        with pytest.raises(DomainError, match="trigger coordinate"):
+            data.triggered_testset(ds, data.PoisonSpec(0, (5,)))
 
     def test_all_target_class_gives_empty(self):
         ds = data.Dataset(np.ones((5, 3)), np.ones(5, dtype=int), 2)

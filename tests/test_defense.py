@@ -331,6 +331,13 @@ class TestCombineAndVerify:
         with pytest.raises(ShapeError):
             defense.verify(make_task(members))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_task_with_fewer_than_two_clients_rejected(self, n):
+        # Both filters compare clients; the task owns the floor for both.
+        members = [make_client(i, [[1.0]]) for i in range(n)]
+        with pytest.raises(DomainError, match="at least two clients"):
+            make_task(members)
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(10)
         members = [

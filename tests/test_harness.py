@@ -13,6 +13,7 @@ import pytest
 
 import trustfed
 from trustfed import defense, harness, hashing, ledger, nn
+from trustfed.clients import Attack
 from trustfed.data import Dataset, PartitionSpec, gen_dataset, partition_non_iid
 from trustfed.errors import ConfigError, DegenerateAggregationError, DomainError
 from trustfed.harness import (
@@ -208,6 +209,16 @@ class TestRun:
             SimConfig(attacker_ratio=1.5).validate()
         with pytest.raises(ConfigError):
             SimConfig(verify_set_size=5, queue_size=10).validate()
+
+    def test_unknown_attack_rejected_by_validate(self):
+        cfg = SimConfig(attack="trojan")
+        with pytest.raises(ConfigError, match="unknown attack 'trojan'; expected one of none, blackbox, pgd, pgd_mr"):
+            cfg.validate()
+
+    def test_attack_member_equals_its_name(self):
+        cfg = SimConfig(attack=Attack.PGD)
+        assert cfg.validate().attack == "pgd"
+        assert json.loads(json.dumps(cfg.to_dict()))["attack"] == "pgd"
 
     def test_fully_dishonest_verifier_pool_needs_full_compromise(self):
         with pytest.raises(ConfigError):

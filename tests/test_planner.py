@@ -153,6 +153,13 @@ class TestCoverageReport:
         assert report["gap_sigma"] == math.inf
         assert report["note"] is not None
 
+    @pytest.mark.parametrize("m, v", [(1, 3), (2, 3), (3, 9)])
+    def test_suggested_subset_size_is_at_least_one(self, m, v):
+        # The closed forms round to 0 here, a size the planner rejects.
+        report = planner.coverage_report(m, v=v, trials=100, seed=4)
+        assert round(report["closed_form"]) == 0
+        assert report["suggested"] == 1
+
     def test_exactly_one_target_required(self):
         with pytest.raises(DomainError):
             planner.coverage_report(5, v=2, subset_size=2)
