@@ -22,6 +22,7 @@ A client in both sets scores 0, in neither scores 1, otherwise 1/2.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -111,8 +112,28 @@ def make_task(verifier_id, submissions, global_model, learning_rate, trust, roun
     return VerificationTask(verifier_id, tuple(members), round_index, trust)
 
 
+# numpy's own arithmetic for the norms and means below, without the Python
+# dispatch of ``np.linalg.norm`` and ``ndarray.mean``: same operations, same
+# order, same bits.
+
+def _norm(x) -> float:
+    """``float(np.linalg.norm(x))``: the dot of the memory-order ravel."""
+    v = x.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def _norms(d, axis):
+    """``np.linalg.norm(d, axis=axis)``."""
+    return np.sqrt(np.add.reduce(d * d, axis=axis))
+
+
+def _mean_rows(rows):
+    """``rows.mean(axis=0)``."""
+    return np.add.reduce(rows, axis=0) / len(rows)
+
+
 def _size_weighted_mean(arrays, sizes):
-    total = float(np.sum(sizes))
+    total = float(sum(sizes))
     out = np.zeros_like(arrays[0])
     for arr, w in zip(arrays, sizes):
         out += (w / total) * arr
@@ -132,14 +153,14 @@ def filter_gradient_similarity(task: VerificationTask) -> frozenset:
     sizes = [c.data_size for c in clients]
     u_mean = _size_weighted_mean([c.u_local for c in clients], sizes)
     g_mean = _size_weighted_mean([c.du for c in clients], sizes)
-    g_norm = float(np.linalg.norm(g_mean))
+    g_norm = _norm(g_mean)
     if g_norm == 0.0:
         return frozenset()
     g_unit = g_mean / g_norm
     scores = []
     for c in clients:
         diff = u_mean - c.u_local
-        norm = float(np.linalg.norm(diff))
+        norm = _norm(diff)
         # Elementwise product + sum instead of a BLAS dot: fused multiply-adds
         # would break the exact symmetry ties the degenerate cases rely on.
         scores.append(0.0 if norm == 0.0 else float(((diff / norm) * g_unit).sum()))
@@ -161,23 +182,23 @@ def _two_means(features):
     so reordering the clients cannot change the split.
     """
     n = len(features)
-    dists = np.linalg.norm(features[:, None, :] - features[None, :, :], axis=2)
+    dists = _norms(features[:, None, :] - features[None, :, :], axis=2)
     a, b = divmod(int(np.argmax(np.triu(dists, 1))), n)
     if dists[a, b] == 0.0:
         return None
     center_a, center_b = features[a].copy(), features[b].copy()
     member_a = np.zeros(n, dtype=bool)
     for _ in range(KMEANS_MAX_ITER):
-        da = np.linalg.norm(features - center_a, axis=1)
-        db = np.linalg.norm(features - center_b, axis=1)
+        da = _norms(features - center_a, axis=1)
+        db = _norms(features - center_b, axis=1)
         new_a = da <= db
         if new_a.all() or not new_a.any():
             return None
         if (new_a == member_a).all():
             break
         member_a = new_a
-        center_a = features[member_a].mean(axis=0)
-        center_b = features[~member_a].mean(axis=0)
+        center_a = _mean_rows(features[member_a])
+        center_b = _mean_rows(features[~member_a])
     return member_a
 
 
@@ -191,7 +212,7 @@ def filter_byclass_kmeans(task: VerificationTask) -> frozenset:
     """
     clients = task.clients
     mus = np.array([nn.by_class_gradient(c) for c in clients])
-    features = np.linalg.norm(mus[:, None, :] - mus[None, :, :], axis=2)
+    features = _norms(mus[:, None, :] - mus[None, :, :], axis=2)
     ids = task.client_ids()
     member_a = _two_means(features)
     if member_a is None:

@@ -7,8 +7,12 @@ negative learning rate) is the ultimate gradient that verifiers inspect.
 
 Everything is float64 and pure: operations return new ``ModelParams`` and all
 randomness comes from explicit seeds, so identical inputs give bit-identical
-outputs.  Layer arrays sit in immutable ``bytes`` numpy will not make writable,
-so each model serializes and hashes itself once, on first use, and keeps both.
+outputs.  Each model's parameters are one float64 vector in an immutable
+``bytes`` buffer numpy will not make writable, and its layers are views into
+that vector, so each model flattens, serializes and hashes itself once and
+keeps all three.  Internally built models (``_from_flat``) freeze and scan
+their vector once; the public ``Layer`` and ``ModelParams`` constructors check
+every array they are given.
 """
 
 from dataclasses import dataclass
@@ -107,6 +111,12 @@ class ModelParams:
 
     def same_architecture(self, other: "ModelParams") -> bool:
         return _shapes(self) == _shapes(other)
+
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        """The read-only vector ``flatten`` returns; ``_from_flat`` sets it up front."""
+        return _frozen(np.concatenate([part for layer in self.layers
+                                       for part in (layer.weights.ravel(), layer.bias)]))
 
     @cached_property
     def canonical_bytes(self) -> bytes:
@@ -216,8 +226,23 @@ def _views(flat: np.ndarray, shapes):
 
 
 def _from_flat(flat: np.ndarray, shapes) -> ModelParams:
-    """The model whose ``flatten`` is ``flat``; each layer copies its slice."""
-    return ModelParams(tuple(Layer(w, b) for w, b in zip(*_views(flat, shapes))))
+    """The model whose ``flatten`` is a frozen copy of ``flat``.
+
+    The copy is scanned once for non-finite entries, and the layers are views
+    into it built without ``Layer``'s checks: ``_views`` fixes their shapes.
+    """
+    flat = _frozen(flat)
+    weights, biases = _views(flat, shapes)
+    if not np.isfinite(flat).all():
+        raise NumericalError("model contains non-finite parameters")
+    layers = []
+    for w, b in zip(weights, biases):
+        layer = object.__new__(Layer)
+        layer.__dict__.update(weights=w, bias=b)
+        layers.append(layer)
+    model = ModelParams(tuple(layers))
+    model.__dict__["_flat"] = flat
+    return model
 
 
 def _check_batch(model: ModelParams, x) -> np.ndarray:
@@ -321,7 +346,7 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
     onehot = _onehot(model, y)
     rng = np.random.default_rng(cfg.seed)
     shapes = _shapes(model)
-    params = flatten(model)
+    params = flatten(model).copy()
     grads = np.empty_like(params)
     weights, biases = _views(params, shapes)
     grad_w, grad_b = _views(grads, shapes)
@@ -384,9 +409,9 @@ def lincomb(models, coeffs) -> ModelParams:
 
 
 def flatten(model: ModelParams) -> np.ndarray:
-    """All parameters as one float64 vector, laid out as ``_views`` reads it."""
-    return np.concatenate([part for layer in model.layers
-                           for part in (layer.weights.ravel(), layer.bias)])
+    """All parameters as one read-only float64 vector, laid out as ``_views``
+    reads it: the model's own vector, not a copy."""
+    return model._flat
 
 
 # Canonical serialization: a fixed-width architecture header (layer count and

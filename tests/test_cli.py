@@ -140,8 +140,6 @@ class TestMalformedCsv:
 
 
 class TestFaultInjection:
-    # numpy's overflow warnings on the way to the error are a separate open item.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_clients_exit_with_numerical_error(self, tmp_path, capsys):
         cfg = desk_config(tmp_path, learning_rate=1e300, rounds=3, warm_start_epochs=2)
         out = tmp_path / "out"

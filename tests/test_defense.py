@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -469,3 +471,71 @@ class TestAssignment:
         a = defense.assign_clients_to_verifiers(range(12), range(4), 5, seed=9)
         b = defense.assign_clients_to_verifiers(range(12), range(4), 5, seed=9)
         assert a == b
+
+
+# Finite float64 values, with signed zeros, subnormals and squares that
+# overflow drawn often; or values of one scale, whose sums round by order.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072e-308, 1e300, -1e300]
+FLOATS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+ONE_SCALE = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def laid_out(draw, ndim):
+    """A float64 array in C order, Fortran order or a strided view."""
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=ndim, max_size=ndim)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    full = shape if layout != "strided" else tuple(2 * n for n in shape)
+    elements = draw(st.sampled_from([FLOATS, ONE_SCALE]))
+    values = draw(st.lists(elements, min_size=int(np.prod(full)), max_size=int(np.prod(full))))
+    arr = np.array(values, dtype=np.float64).reshape(full)
+    if layout == "F":
+        return np.asfortranarray(arr)
+    if layout == "strided":
+        return arr[(slice(None, None, 2),) * (ndim - 1) + (slice(None, None, -2),)]
+    return arr
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestExactHelpers:
+    """The defense's norms and means are numpy's own arithmetic without its
+    dispatch, so each equals the numpy call it replaces bit for bit."""
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3).flatmap(laid_out))
+    def test_norm_is_linalg_norm(self, x):
+        with np.errstate(over="ignore"):
+            assert same_bits(defense._norm(x), float(np.linalg.norm(x)))
+
+    @settings(deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda ndim: st.tuples(laid_out(ndim), st.integers(0, ndim - 1))))
+    def test_norms_along_an_axis_are_linalg_norm(self, case):
+        d, axis = case
+        with np.errstate(over="ignore"):
+            assert same_bits(defense._norms(d, axis), np.linalg.norm(d, axis=axis))
+
+    @settings(deadline=None)
+    @given(laid_out(2))
+    def test_mean_rows_is_mean(self, rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(defense._mean_rows(rows), rows.mean(axis=0))
+
+    def test_a_c_order_ravel_would_not_be_exact(self):
+        """The whole-array norm must sum in memory order, as numpy does:
+        reading a Fortran-order array row by row changes the bits."""
+        def c_order_norm(x):
+            v = x.ravel(order="C")
+            return math.sqrt(v.dot(v))
+
+        rng = np.random.default_rng(7)
+        differs = 0
+        for _ in range(50):
+            x = np.asfortranarray(rng.standard_normal((9, 7)) * 10.0 ** rng.integers(-4, 4, (9, 7)))
+            expect = float(np.linalg.norm(x))
+            assert same_bits(defense._norm(x), expect)
+            differs += not same_bits(c_order_norm(x), expect)
+        assert differs > 0

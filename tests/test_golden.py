@@ -10,15 +10,24 @@ log, so a change to which events are logged, or in what order, shows up too.
 Refactors and speed-ups must leave this file green without touching the
 fixtures.
 
+The bits hold per host class: the numpy version, numpy's SIMD level
+(``np.exp`` gives other bits under AVX-512 than under AVX2) and the OpenBLAS
+kernel core.  A third fixture records the class the others were recorded on,
+and ``test_host_class_matches_the_recording`` names the field that differs
+when this host is of another class.
+
 Re-record (only when behaviour is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import ctypes
 import functools
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 import pytest
 
 from trustfed import ledger
@@ -27,6 +36,7 @@ from trustfed.hashing import model_digest
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 EVENTS_FIXTURE = Path(__file__).with_name("golden_events.json")
+HOST_FIXTURE = Path(__file__).with_name("golden_host.json")
 
 ROUNDS = 8
 DESK = dict(n_clients=40, queue_size=10, verify_set_size=10, n_verifiers=5,
@@ -82,6 +92,31 @@ def events_digest(overrides) -> str:
     return hashlib.sha256(log.encode()).hexdigest()
 
 
+def _openblas_core():
+    """The kernel core numpy's bundled OpenBLAS runs, or None without one."""
+    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def host_class() -> dict:
+    """The fields of this host that decide a run's bits."""
+    return {"numpy": np.__version__, "X86_V4": bool(__cpu_features__.get("X86_V4")),
+            "openblas_core": _openblas_core()}
+
+
+def test_host_class_matches_the_recording():
+    recorded, here = json.loads(HOST_FIXTURE.read_text()), host_class()
+    differ = [f"{k} is {here.get(k)!r} here, {v!r} in {HOST_FIXTURE.name}"
+              for k, v in sorted(recorded.items()) if here.get(k) != v]
+    if differ:
+        pytest.fail("golden fixtures hold for another host class: " + "; ".join(differ),
+                    pytrace=False)
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
@@ -111,4 +146,5 @@ if __name__ == "__main__":
                                   indent=1, sort_keys=True) + "\n")
     EVENTS_FIXTURE.write_text(json.dumps({name: events_digest(o) for name, o in sorted(CASES.items())},
                                          indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(CASES)} cases in {FIXTURE} and {EVENTS_FIXTURE}")
+    HOST_FIXTURE.write_text(json.dumps(host_class(), indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(CASES)} cases in {FIXTURE} and {EVENTS_FIXTURE} on {host_class()}")

@@ -460,6 +460,99 @@ class TestImmutableArrays:
         assert (layer.weights == 1.0).all() and (layer.bias == 0.0).all()
 
 
+def reference_flatten(model):
+    """Every parameter in ``_views`` order, concatenated independently of ``nn``."""
+    return np.concatenate([np.ravel(arr) for layer in model.layers
+                           for arr in (layer.weights, layer.bias)])
+
+
+def models_by_source(seed, dims=(4, 5, 3)):
+    """One model from each way of building one, keyed by the builder's name."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, list(dims))
+    x = rng.standard_normal((9, dims[0]))
+    y = rng.integers(0, dims[-1], 9)
+    trained = nn.sgd_train(model, x, y, nn.TrainConfig(0.1, 2, 4, seed))
+    return {
+        "init_mlp": nn.init_mlp(dims[0], dims[1], dims[-1], seed),
+        "constructor": model,
+        "sgd_train": trained,
+        "lincomb": nn.lincomb([model, trained], [0.25, 0.75]),
+        "from_bytes": nn.from_bytes(nn.to_bytes(trained)),
+        "gradients": nn.ModelParams(tuple(nn.gradients(model, x, y))),
+    }
+
+
+INTERNAL = ("sgd_train", "lincomb", "from_bytes")
+
+
+def buffer_of(arr):
+    """The object at the end of an array's ``base`` chain."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+class TestOneVector:
+    """A model's parameters are one read-only vector: ``flatten`` returns it
+    as kept, and internally built layers are views into it."""
+
+    @pytest.mark.parametrize("source", sorted(models_by_source(0)))
+    def test_flatten_is_the_kept_read_only_vector(self, source):
+        model = models_by_source(41)[source]
+        flat = nn.flatten(model)
+        assert flat is nn.flatten(model)
+        assert flat.dtype == np.float64 and flat.ndim == 1
+        assert same_bits(flat, reference_flatten(model))
+        assert not flat.flags.writeable
+        with pytest.raises(ValueError):
+            flat.flags.writeable = True
+
+    @pytest.mark.parametrize("source", INTERNAL)
+    def test_internal_layers_are_views_into_the_vector(self, source):
+        model = models_by_source(42)[source]
+        flat = nn.flatten(model)
+        for layer in model.layers:
+            assert np.shares_memory(layer.weights, flat) and np.shares_memory(layer.bias, flat)
+            assert buffer_of(layer.weights) is buffer_of(layer.bias) is buffer_of(flat)
+
+    def test_gradient_layers_share_one_frozen_vector(self):
+        rng = np.random.default_rng(43)
+        model = random_model(rng, [4, 5, 3])
+        grads = nn.gradients(model, rng.standard_normal((7, 4)), rng.integers(0, 3, 7))
+        buffers = {id(buffer_of(arr)) for layer in grads for arr in (layer.weights, layer.bias)}
+        assert len(buffers) == 1 and isinstance(buffer_of(grads[0].weights), bytes)
+
+    @settings(deadline=None)
+    @given(models())
+    def test_public_and_parsed_vectors_match_the_reference(self, model):
+        for m in (model, nn.from_bytes(nn.to_bytes(model))):
+            assert nn.flatten(m) is nn.flatten(m)
+            assert same_bits(nn.flatten(m), reference_flatten(model))
+
+    @pytest.mark.parametrize("source", ["constructor", "sgd_train"])
+    def test_sgd_train_leaves_its_input_unchanged(self, source):
+        model = models_by_source(44)[source]
+        before, blob, digest = nn.flatten(model).copy(), nn.to_bytes(model), model_digest(model)
+        rng = np.random.default_rng(45)
+        nn.sgd_train(model, rng.standard_normal((8, 4)), rng.integers(0, 3, 8),
+                     nn.TrainConfig(0.5, 3, 3, 7))
+        assert same_bits(nn.flatten(model), before)
+        assert nn.to_bytes(model) == blob == reference_to_bytes(model)
+        assert model_digest(model) == blob_digest(blob)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_from_bytes_rejects_a_non_finite_parameter_anywhere(self, bad):
+        model = random_model(np.random.default_rng(46), [3, 2, 2])
+        blob = nn.to_bytes(model)
+        header = 4 + 8 * len(model.layers)
+        for k in range(nn.flatten(model).size):
+            at = header + 8 * k
+            poisoned = blob[:at] + struct.pack("<d", bad) + blob[at + 8:]
+            with pytest.raises(NumericalError):
+                nn.from_bytes(poisoned)
+
+
 # Reference kernels: the straightforward out-of-place forms the in-place
 # training path must reproduce bit for bit.
 
