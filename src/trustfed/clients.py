@@ -80,6 +80,8 @@ class Submission:
         u, b = self.model.ultimate()
         if self.ug.du.shape != u.shape or self.ug.db.shape != b.shape:
             raise DomainError("reported gradient shapes do not match the model")
+        if (self.ug.client_id, self.ug.round_index) != (self.client_id, self.round_index):
+            raise DomainError("reported gradient belongs to another client or round")
         if self.data_size < 1:
             raise DomainError("data_size must be positive")
         if self.model_digest != model_digest(self.model):
@@ -118,17 +120,19 @@ def local_round(
 
     The reported ultimate gradient covers the whole local round relative to
     the received global model, which is the only gradient the verification
-    protocol ever transmits.
+    protocol ever transmits.  A ``pgd`` or ``pgd_mr`` client needs ``attack_params``.
     """
+    projecting = profile.attack in (Attack.PGD, Attack.PGD_MR)
+    if projecting and attack_params is None:
+        raise DomainError(f"a {profile.attack.value} client needs attack_params")
     train = profile.data
     if profile.is_malicious:
         train, _ = poison(profile.data, profile.poison_spec, derive_seed(cfg.seed, "poison"))
     model = nn.sgd_train(global_model, train.x, train.y, cfg)
-    if profile.attack in (Attack.PGD, Attack.PGD_MR):
-        params = attack_params or AttackParams()
+    if projecting:
         if profile.attack is Attack.PGD_MR:
-            model = model_replace(model, global_model, params.gamma)
-        model = pgd_project(model, global_model, params.delta)
+            model = model_replace(model, global_model, attack_params.gamma)
+        model = pgd_project(model, global_model, attack_params.delta)
     if cfg.learning_rate > 0:
         ug = nn.extract_ultimate_gradient(
             global_model, model, cfg.learning_rate,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .nn import _frozen
+from .nn import _frozen, _labels
 
 __all__ = [
     "Dataset",
@@ -33,7 +33,8 @@ DEFAULT_SEPARATION = 4.0
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix [n, d] with integer labels [n] in [0, n_classes), both held
+    """Feature matrix [n, d] and one label per row, an exact integer in
+    [0, n_classes) (``nn._labels``, the rule ``nn``'s batches follow), both held
     in immutable ``bytes`` numpy will not make writable, so runs can share them."""
 
     x: np.ndarray
@@ -42,13 +43,11 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "x", _frozen(self.x))
-        object.__setattr__(self, "y", _frozen(self.y, np.int64))
-        if self.x.ndim != 2 or self.y.ndim != 1 or self.x.shape[0] != self.y.shape[0]:
-            raise DomainError("features must be [n, d] with one label per row")
+        if self.x.ndim != 2:
+            raise DomainError("features must be an [n, d] matrix")
         if not np.isfinite(self.x).all():
             raise DomainError("features contain non-finite entries")
-        if self.y.size and (self.y.min() < 0 or self.y.max() >= self.n_classes):
-            raise DomainError("labels out of range")
+        object.__setattr__(self, "y", _frozen(_labels(self.y, len(self.x), self.n_classes), np.int64))
 
     def __len__(self) -> int:
         return self.y.size

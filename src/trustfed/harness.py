@@ -269,11 +269,8 @@ def _attacker_count(cfg: SimConfig) -> int:
 
 
 def _pick_attackers(cfg: SimConfig):
-    count = _attacker_count(cfg)
-    if count == 0:
-        return frozenset()
     rng = np.random.default_rng(derive_seed(cfg.seed, "attackers"))
-    return frozenset(int(c) for c in rng.choice(cfg.n_clients, size=count, replace=False))
+    return frozenset(int(c) for c in rng.choice(cfg.n_clients, size=_attacker_count(cfg), replace=False))
 
 
 def _verifier_population(cfg: SimConfig, attackers):

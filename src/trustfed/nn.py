@@ -12,7 +12,8 @@ outputs.  Each model's parameters are one float64 vector in an immutable
 that vector, so each model flattens, serializes and hashes itself once and
 keeps all three.  Internally built models (``_from_flat``) freeze and scan
 their vector once; the public ``Layer`` and ``ModelParams`` constructors check
-every array they are given.
+every array they are given.  ``_batch`` reads every entry point's batch and
+labels, and ``data.Dataset`` shares its label rule, ``_labels``.
 """
 
 from dataclasses import dataclass
@@ -245,17 +246,27 @@ def _from_flat(flat: np.ndarray, shapes) -> ModelParams:
     return model
 
 
-def _check_batch(model: ModelParams, x) -> np.ndarray:
+def _labels(y, n_rows: int, n_classes: int) -> np.ndarray:
+    """The label rule, which ``data.Dataset`` shares: ``n_rows`` labels, each an
+    exact integer in [0, n_classes), returned as int64; else ``DomainError``."""
+    y = np.asarray(y)
+    if y.shape != (n_rows,):
+        raise DomainError(f"expected {n_rows} labels, got shape {y.shape}")
+    if (y.dtype.kind not in "biuf" or not ((y >= 0) & (y < n_classes)).all()
+            or y.dtype.kind == "f" and (y != np.floor(y)).any()):
+        raise DomainError(f"labels must be exact integers in [0, {n_classes})")
+    return y.astype(np.int64, copy=False)
+
+
+def _batch(model: ModelParams, x, y=None):
+    """The one reader of a batch: ``x`` as float64 [n >= 1, features], or, given
+    labels, ``(x, onehot)`` with the labels (``_labels``) as one-hot rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
-        raise ShapeError(
-            f"expected [n, {model.n_features}] inputs, got {x.shape}"
-        )
-    return x
-
-
-def _onehot(model: ModelParams, y: np.ndarray) -> np.ndarray:
-    return np.eye(model.n_classes)[y]
+        raise ShapeError(f"expected [n, {model.n_features}] inputs, got {x.shape}")
+    if x.shape[0] == 0:
+        raise DomainError("a batch needs at least one row")
+    return x if y is None else (x, np.eye(model.n_classes)[_labels(y, len(x), model.n_classes)])
 
 
 def _forward_raw(weights, biases, x: np.ndarray):
@@ -292,37 +303,30 @@ def _grads_raw(weights, biases, x: np.ndarray, onehot: np.ndarray, grad_w, grad_
 
 def forward_batch(model: ModelParams, x: np.ndarray) -> np.ndarray:
     """Class probabilities for a batch, shape [n, classes]."""
-    _, probs = _forward_raw(*_raw(model), _check_batch(model, x))
+    _, probs = _forward_raw(*_raw(model), _batch(model, x))
     return probs
 
 
 def forward(model: ModelParams, x: np.ndarray) -> np.ndarray:
     """Class probabilities for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.n_features:
-        raise ShapeError(f"expected a length-{model.n_features} vector, got {x.shape}")
-    return forward_batch(model, x[None, :])[0]
+    return forward_batch(model, np.asarray(x)[None])[0]
 
 
 def loss(model: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy of the model on labeled samples."""
-    y = np.asarray(y)
-    if y.size == 0:
-        raise DomainError("loss needs a nonempty sample set")
-    probs = forward_batch(model, x)
-    picked = probs[np.arange(y.size), y.astype(int)]
+    x, onehot = _batch(model, x, y)
+    _, probs = _forward_raw(*_raw(model), x)
+    picked = probs[onehot == 1.0]
     # Probabilities can round to exactly zero for extreme logits.
     return float(-np.log(np.maximum(picked, 1e-300)).mean())
 
 
 def gradients(model: ModelParams, x: np.ndarray, y: np.ndarray):
     """Mean loss gradient per layer, as a list of ``Layer`` objects."""
-    y = np.asarray(y, dtype=int)
-    if y.size == 0:
-        raise DomainError("gradient needs a nonempty sample set")
+    x, onehot = _batch(model, x, y)
     shapes = _shapes(model)
     grads = np.empty_like(flatten(model))
-    _grads_raw(*_raw(model), _check_batch(model, x), _onehot(model, y), *_views(grads, shapes))
+    _grads_raw(*_raw(model), x, onehot, *_views(grads, shapes))
     return list(_from_flat(grads, shapes).layers)
 
 
@@ -335,15 +339,11 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
     weight and a bias view per layer: the backward pass writes the gradients
     through those views and a step is two calls on the whole vector,
     ``grads *= lr`` then ``params -= grads``, which rounds exactly as
-    ``w -= lr * g`` does per layer.  Inputs are checked once and the result
-    is validated as a new ``ModelParams``, whose layers reject non-finite
-    parameters.
+    ``w -= lr * g`` does per layer.  The batch and its labels are checked once
+    and the result is validated as a new ``ModelParams``, whose layers reject
+    non-finite parameters.
     """
-    x = _check_batch(model, x)
-    y = np.asarray(y, dtype=int)
-    if y.size == 0:
-        raise DomainError("training needs a nonempty sample set")
-    onehot = _onehot(model, y)
+    x, onehot = _batch(model, x, y)
     rng = np.random.default_rng(cfg.seed)
     shapes = _shapes(model)
     params = flatten(model).copy()
@@ -351,7 +351,7 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
     weights, biases = _views(params, shapes)
     grad_w, grad_b = _views(grads, shapes)
     lr = cfg.learning_rate
-    n = y.size
+    n = x.shape[0]
     step = min(cfg.batch_size, n)
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)

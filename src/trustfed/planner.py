@@ -84,10 +84,8 @@ def expected_V(m: int, subset_size: int) -> float:
     acc = Fraction(0)
     for s in range(1, m + 1):
         miss = comb(m - s, subset_size) if m - s >= subset_size else 0
-        denom = c_ml - miss
-        if denom <= 0:
-            raise DomainError("degenerate denominator in coverage sum")
-        acc += Fraction((-1) ** (s + 1) * comb(m, s), denom)
+        # c_ml - miss > 0: for 1 <= l <= m and s >= 1, C(m, l) - C(m - s, l) >= C(m - 1, l - 1) >= 1.
+        acc += Fraction((-1) ** (s + 1) * comb(m, s), c_ml - miss)
     return float(c_ml * acc)
 
 

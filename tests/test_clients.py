@@ -90,6 +90,13 @@ class TestLocalRound:
         dist = np.linalg.norm(nn.flatten(sub.model) - nn.flatten(g))
         assert dist <= delta + 1e-9
 
+    @pytest.mark.parametrize("attack", ["pgd", "pgd_mr"])
+    def test_projecting_attack_needs_its_parameters(self, attack):
+        # Without them the attacker used to project silently with gamma = delta = 1.
+        cfg = nn.TrainConfig(learning_rate=0.05, local_epochs=1, batch_size=16, seed=14)
+        with pytest.raises(DomainError):
+            clients.local_round(make_profile(15, attack=attack), small_global(5), cfg, 1)
+
 
 class TestSubmissionInvariants:
     def test_mismatched_digest_rejected(self):
@@ -104,6 +111,14 @@ class TestSubmissionInvariants:
         wrong = nn.UltimateGradient(np.zeros((2, 2)), np.zeros(2), 0, 1)
         with pytest.raises(DomainError):
             clients.Submission(0, g, wrong, 10, model_digest(g), 1)
+
+    @pytest.mark.parametrize("client_id, round_index", [(3, 1), (0, 9)])
+    def test_gradient_of_another_client_or_round_rejected(self, client_id, round_index):
+        g = small_global()
+        other = nn.UltimateGradient(np.zeros_like(g.layers[-1].weights),
+                                    np.zeros_like(g.layers[-1].bias), client_id, round_index)
+        with pytest.raises(DomainError):
+            clients.Submission(0, g, other, 10, model_digest(g), 1)
 
 
 class TestPgdProject:

@@ -61,6 +61,20 @@ class TestDatasetArrays:
         assert (ds.x == 1.0).all() and ds.y.tolist() == [0, 1, 1]
         assert not (ds.x.flags.writeable or ds.y.flags.writeable)
 
+    def test_non_integer_labels_rejected(self):
+        # A cast would have read [0.7, 1.2, 1.9] as [0, 1, 1].
+        with pytest.raises(DomainError):
+            data.Dataset(np.ones((3, 2)), [0.7, 1.2, 1.9], 2)
+
+    def test_exact_float_labels_become_int64(self):
+        ds = data.Dataset(np.ones((3, 2)), [0.0, 1.0, 1.0], 2)
+        assert ds.y.dtype == np.int64 and ds.y.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("labels", [[0, 2, 1], [0, -1, 1], [0, 1], [[0, 1, 1]], [0, np.nan, 1]])
+    def test_labels_must_be_one_per_row_and_in_range(self, labels):
+        with pytest.raises(DomainError):
+            data.Dataset(np.ones((3, 2)), labels, 2)
+
 
 class TestPartition:
     def test_iid_histogram_roughly_uniform(self):

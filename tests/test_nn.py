@@ -194,6 +194,51 @@ class TestGradients:
         assert probes >= 50
 
 
+class TestBatchAndLabels:
+    """Each labelled entry point takes one exact integer label in range per row
+    and refuses anything else, rather than wrapping, truncating or dropping."""
+
+    ENTRIES = {
+        "sgd_train": lambda m, x, y: nn.sgd_train(m, x, y, nn.TrainConfig(0.1, 2, 4, seed=0)),
+        "gradients": nn.gradients,
+        "loss": nn.loss,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("rows, labels", [
+        (3, [0, -1, 1]),          # would wrap to the last class
+        (3, [0, 2, 1]),           # equal to the class count
+        (6, [0, 1, 1]),           # more rows than labels: the extra rows were dropped
+        (2, [0, 1, 1]),           # fewer rows than labels
+        (3, [0.5, 1.5, 1.0]),     # would truncate to [0, 1, 1]
+    ], ids=["negative", "class-count", "more-rows", "fewer-rows", "non-integer"])
+    def test_bad_labels_rejected(self, entry, rows, labels):
+        model = random_model(np.random.default_rng(4), [3, 4, 2])
+        x = np.random.default_rng(5).standard_normal((rows, 3))
+        with pytest.raises(DomainError):
+            self.ENTRIES[entry](model, x, np.array(labels))
+
+    def test_exact_float_labels_read_as_integers(self):
+        model = random_model(np.random.default_rng(6), [3, 4, 2])
+        x = np.random.default_rng(7).standard_normal((5, 3))
+        y = np.array([0, 1, 1, 0, 1])
+        train = self.ENTRIES["sgd_train"]
+        assert nn.to_bytes(train(model, x, y.astype(float))) == nn.to_bytes(train(model, x, y))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES) + ["forward_batch"])
+    def test_empty_batch_rejected(self, entry):
+        model = single_layer(np.zeros((2, 3)), np.zeros(2))
+        call = self.ENTRIES.get(entry, lambda m, x, y: nn.forward_batch(m, x))
+        with pytest.raises(DomainError):
+            call(model, np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+    def test_forward_takes_one_vector(self):
+        model = single_layer(np.zeros((2, 3)), np.zeros(2))
+        for x in (np.zeros((1, 3)), np.float64(0.0), np.zeros(2)):
+            with pytest.raises(ShapeError):
+                nn.forward(model, x)
+
+
 class TestUltimateGradient:
     def test_hand_example(self):
         before = single_layer([[1.0]], [0.0])
