@@ -93,6 +93,13 @@ class PoisonSpec:
         if not 0.0 <= self.pdr <= 1.0:
             raise DomainError("pdr must lie in [0, 1]")
 
+    def check_fits(self, n_features: int, n_classes: int):
+        """``DomainError`` unless the target is a class and each trigger coordinate a feature."""
+        if not 0 <= self.target_class < n_classes:
+            raise DomainError("target_class out of range")
+        if max(self.trigger_coords) >= n_features:
+            raise DomainError("trigger coordinate out of feature range")
+
 
 def gen_dataset(n: int, n_classes: int, n_features: int, seed: int,
                 separation: float = DEFAULT_SEPARATION) -> Dataset:
@@ -174,10 +181,7 @@ def poison(data: Dataset, spec: PoisonSpec, seed: int):
     poisoned rows are taken from the tail of the feature distribution first,
     mimicking rare-region backdoors.
     """
-    if spec.target_class < 0 or spec.target_class >= data.n_classes:
-        raise DomainError("target_class out of range")
-    if max(spec.trigger_coords) >= data.n_features:
-        raise DomainError("trigger coordinate out of feature range")
+    spec.check_fits(data.n_features, data.n_classes)
     n = len(data)
     count = _poison_count(spec.pdr, n)
     flags = np.zeros(n, dtype=bool)
@@ -209,8 +213,7 @@ def triggered_testset(data: Dataset, spec: PoisonSpec) -> Dataset:
     The result is relabeled to the target class and used only to measure how
     often a model follows the trigger.
     """
-    if max(spec.trigger_coords) >= data.n_features:
-        raise DomainError("trigger coordinate out of feature range")
+    spec.check_fits(data.n_features, data.n_classes)
     keep = np.flatnonzero(data.y != spec.target_class)
     x = data.x[keep].copy()
     x[:, np.array(spec.trigger_coords)] = spec.trigger_value
@@ -221,9 +224,8 @@ def triggered_testset(data: Dataset, spec: PoisonSpec) -> Dataset:
 def load_csv(path, n_classes: int = None) -> Dataset:
     """Read samples from CSV rows of ``d`` feature columns plus an integer label.
 
-    A header row, a non-numeric cell, a ragged row or a label that is not an
-    exact integer below 2**53 in magnitude (where float64 stops holding every
-    integer) raises ``DomainError``.
+    A header row, a non-numeric cell or a ragged row raises ``DomainError``,
+    and so does ``Dataset`` for a label that is not an exact integer in range.
     """
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -233,9 +235,7 @@ def load_csv(path, n_classes: int = None) -> Dataset:
         raise DomainError("CSV needs at least one feature column and a label column")
     x = raw[:, :-1]
     y = raw[:, -1]
-    if not ((y == np.round(y)) & (np.abs(y) < 2.0**53)).all():
-        raise DomainError("label column must hold exact integers")
-    y = y.astype(np.int64)
     if n_classes is None:
-        n_classes = int(y.max()) + 1
+        # int() reads labels below 2**53 exactly; Dataset refuses the rest (NaN, inf) as out of range.
+        n_classes = int(y[np.abs(y) < 2.0**53].max(initial=0)) + 1
     return Dataset(x, y, n_classes)

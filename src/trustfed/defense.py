@@ -242,6 +242,9 @@ def verify(task: VerificationTask) -> ScoreReport:
     return ScoreReport(task.verifier_id, combine_scores(s1, s2, task.client_ids()), task.round_index)
 
 
+CORRUPTION_MODES = ("random", "reverse")
+
+
 def corrupt_report(report: ScoreReport, mode: str, seed: int) -> ScoreReport:
     """Dishonest-verifier transforms: seeded uniform scores, or 0 <-> 1 swaps."""
     if mode == "random":

@@ -15,7 +15,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,26 +103,17 @@ class SimConfig:
             raise ConfigError(
                 "bad_verifier_fraction = 1 needs every client compromised (attacker_ratio = 1)"
             )
-        attacks = [a.value for a in Attack]
-        if self.attack not in attacks:
-            raise ConfigError(f"unknown attack {self.attack!r}; expected one of {', '.join(attacks)}")
-        if self.bad_verifier_mode not in ("random", "reverse"):
-            raise ConfigError("bad_verifier_mode must be random or reverse")
-        if self.verifier_policy not in ("open", "caav"):
-            raise ConfigError("verifier_policy must be open or caav")
+        for name, known in (("attack", [a.value for a in Attack]), ("verifier_policy", ledger.VERIFIER_POLICIES),
+                            ("bad_verifier_mode", defense.CORRUPTION_MODES)):
+            if getattr(self, name) not in known:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; expected one of {', '.join(known)}")
         if self.rounds < 1:
             raise ConfigError("rounds must be positive")
         if self.verify_lag < 0:
             raise ConfigError("verify_lag must be nonnegative")
         if self.warm_start_size < 0:
             raise ConfigError("warm_start_size must be nonnegative")
-        if min(self.trigger_coords) < 0:
-            raise ConfigError("trigger_coords must be nonnegative feature indices")
-        if self.data_csv is None:
-            if not 0 <= self.target_class < self.n_classes:
-                raise ConfigError("target_class out of range")
-            if max(self.trigger_coords) >= self.n_features:
-                raise ConfigError("trigger coordinate out of feature range")
+        _specs(self)
         return self
 
     def to_dict(self) -> dict:
@@ -145,6 +136,8 @@ class SimConfig:
             key, text = key.strip(), text.strip()
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice")
             values[key] = _checked(known[key], _parse_value(known[key], text))
         return cls(**values)
 
@@ -177,6 +170,21 @@ def _checked(f, value):
     if not (_fits(f.type, value) or value is None and f.default is None):
         raise ConfigError(f"{f.name}: {value!r} is not a valid {f.type.__name__}")
     return value
+
+
+def _specs(cfg: SimConfig):
+    """The run's ``PoisonSpec`` (fitted to synthetic data), a client's ``nn.TrainConfig`` (seed 0) and
+    the ``PartitionSpec``, each checked by its owner; an owner's ``DomainError`` becomes a ``ConfigError``."""
+    try:
+        poison_spec = PoisonSpec(cfg.target_class, cfg.trigger_coords, cfg.trigger_value,
+                                 cfg.poison_rate, cfg.edge_case)
+        if cfg.data_csv is None:
+            poison_spec.check_fits(cfg.n_features, cfg.n_classes)
+        return (poison_spec, nn.TrainConfig(cfg.learning_rate, cfg.local_epochs, cfg.batch_size),
+                PartitionSpec(cfg.n_clients, cfg.non_iid_degree, cfg.per_client_size,
+                              derive_seed(cfg.seed, "partition")))
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -232,17 +240,14 @@ def eval_detection(queue_client_ids, trust_ledger: ledger.TrustLedger, attacker_
     return tpr, tnr
 
 
-def _load_csv_data(cfg: SimConfig):
+def _load_csv_data(cfg: SimConfig, partition: PartitionSpec):
     """Client partitions and test set from ``cfg.data_csv``, read afresh every run."""
     full = load_csv(cfg.data_csv)
     rng = np.random.default_rng(derive_seed(cfg.seed, "csv_split"))
     order = rng.permutation(len(full))
     n_test = max(1, int(round(_TEST_FRACTION * len(full))))
     test = full.subset(order[:n_test])
-    parts = partition_non_iid(full.subset(order[n_test:]), PartitionSpec(
-        cfg.n_clients, cfg.non_iid_degree, cfg.per_client_size,
-        derive_seed(cfg.seed, "partition")))
-    return tuple(parts), test
+    return tuple(partition_non_iid(full.subset(order[n_test:]), partition)), test
 
 
 @functools.lru_cache(maxsize=4)
@@ -301,15 +306,14 @@ def _verifier_population(cfg: SimConfig, attackers):
     return clients + outsider_ids, frozenset(attackers) | frozenset(outsider_ids)
 
 
-def _measure_pgd_delta(cfg: SimConfig, profiles, global_model) -> float:
+def _measure_pgd_delta(cfg: SimConfig, train_cfg, profiles, global_model) -> float:
     """0.8 times the median benign update norm on a throwaway warm-up round."""
     norms = []
     base = nn.flatten(global_model)
     for profile in profiles:
         if profile.is_malicious:
             continue
-        warm_cfg = nn.TrainConfig(cfg.learning_rate, cfg.local_epochs, cfg.batch_size,
-                                  derive_seed(cfg.seed, "warmup", profile.client_id))
+        warm_cfg = replace(train_cfg, seed=derive_seed(cfg.seed, "warmup", profile.client_id))
         trained = nn.sgd_train(global_model, profile.data.x, profile.data.y, warm_cfg)
         norms.append(float(np.linalg.norm(nn.flatten(trained) - base)))
     if not norms:
@@ -349,16 +353,15 @@ def run(cfg: SimConfig) -> RunResult:
 
 def _run(cfg: SimConfig) -> RunResult:
     cfg.validate()
+    poison_spec, train_cfg, partition = _specs(cfg)
     if cfg.data_csv is not None:
-        parts, test = _load_csv_data(cfg)
+        parts, test = _load_csv_data(cfg, partition)
     else:
         parts, test = _synthetic_data(cfg.seed, cfg.n_clients, cfg.non_iid_degree,
                                       cfg.per_client_size, cfg.pool_factor, cfg.n_classes,
                                       cfg.n_features, cfg.data_separation, cfg.test_size)
     attackers = _pick_attackers(cfg)
     verifier_pool, bad_verifiers = _verifier_population(cfg, attackers)
-    poison_spec = PoisonSpec(cfg.target_class, cfg.trigger_coords, cfg.trigger_value,
-                             cfg.poison_rate, cfg.edge_case)
     profiles = []
     for cid in range(cfg.n_clients):
         if cid in attackers:
@@ -380,7 +383,8 @@ def _run(cfg: SimConfig) -> RunResult:
 
     attack_params = None
     if cfg.attack in (Attack.PGD.value, Attack.PGD_MR.value) and attackers:
-        delta = cfg.pgd_delta if cfg.pgd_delta is not None else _measure_pgd_delta(cfg, profiles, global_model)
+        delta = (cfg.pgd_delta if cfg.pgd_delta is not None
+                 else _measure_pgd_delta(cfg, train_cfg, profiles, global_model))
         attack_params = AttackParams(gamma=float(cfg.queue_size), delta=delta)
 
     metrics = []
@@ -388,7 +392,7 @@ def _run(cfg: SimConfig) -> RunResult:
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
         state.round_counter = t
-        submissions = _local_rounds(cfg, t, profiles, global_model, attack_params, state, store)
+        submissions = _local_rounds(cfg, train_cfg, t, profiles, global_model, attack_params, state, store)
         if cfg.defense_enabled:
             due[t + cfg.verify_lag] = _verify(cfg, t, submissions, global_model, state, trust,
                                               verifier_pool, bad_verifiers)
@@ -418,15 +422,14 @@ def _run(cfg: SimConfig) -> RunResult:
     return RunResult(cfg, metrics, summary, global_model, state, trust)
 
 
-def _local_rounds(cfg: SimConfig, t, profiles, global_model, attack_params, state, store) -> dict:
+def _local_rounds(cfg: SimConfig, train_cfg, t, profiles, global_model, attack_params, state, store) -> dict:
     """Round ``t``'s sampled clients train, store and submit; returns their submissions by id."""
     rng = np.random.default_rng(derive_seed(cfg.seed, "round", t, "sample"))
     sampled = sorted(int(c) for c in rng.choice(cfg.n_clients, size=cfg.queue_size, replace=False))
     submissions = {}
     for cid in sampled:
-        train_cfg = nn.TrainConfig(cfg.learning_rate, cfg.local_epochs, cfg.batch_size,
-                                   derive_seed(cfg.seed, "round", t, "client", cid))
-        sub = local_round(profiles[cid], global_model, train_cfg, t, attack_params)
+        client_cfg = replace(train_cfg, seed=derive_seed(cfg.seed, "round", t, "client", cid))
+        sub = local_round(profiles[cid], global_model, client_cfg, t, attack_params)
         store.put(nn.to_bytes(sub.model))
         ledger.submit(state, store, sub)
         submissions[cid] = sub

@@ -207,6 +207,9 @@ def select_verification_set(state: ContractState) -> frozenset:
     return chosen
 
 
+VERIFIER_POLICIES = ("open", "caav")
+
+
 def select_verifiers(state: ContractState, ledger: TrustLedger, v: int, policy: str, seed: int,
                      open_pool=None):
     """Draw ``v`` verifiers from the pool the policy allows.

@@ -254,7 +254,7 @@ def _labels(y, n_rows: int, n_classes: int) -> np.ndarray:
         raise DomainError(f"expected {n_rows} labels, got shape {y.shape}")
     if (y.dtype.kind not in "biuf" or not ((y >= 0) & (y < n_classes)).all()
             or y.dtype.kind == "f" and (y != np.floor(y)).any()):
-        raise DomainError(f"labels must be exact integers in [0, {n_classes})")
+        raise DomainError(f"label column must hold exact integers in [0, {n_classes})")
     return y.astype(np.int64, copy=False)
 
 

@@ -1,13 +1,14 @@
 import concurrent.futures
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trustfed import cli
-from trustfed.errors import ConfigError
+from trustfed import cli, harness
+from trustfed.errors import ConfigError, DomainError
 from trustfed.harness import SimConfig
 
 
@@ -105,6 +106,41 @@ class TestRunCommand:
         cfg.write_text(FAST_CFG + "bad_verifier_fraction = 1.0\n")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
+    def test_key_set_twice_exits_with_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        text = FAST_CFG + "rounds = 5\n"
+        cfg.write_text(text)
+        message = f"{cfg}:{len(text.splitlines())}: key 'rounds' is set twice"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SimConfig.from_file(cfg)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_out_path_held_by_a_file_exits_with_io_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(FAST_CFG)
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("i/o error:")
+        assert captured.out == "" and out.read_text() == "kept\n"
+
+    # Calibration trains benign clients; with none, pgd needs an explicit delta.
+    @pytest.mark.parametrize("attack", ["pgd", "pgd_mr"])
+    def test_pgd_without_benign_clients_needs_a_delta(self, tmp_path, capsys, attack):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(FAST_CFG.replace("attacker_ratio = 0.25", "attacker_ratio = 1")
+                       .replace("attack = blackbox", f"attack = {attack}"))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: cannot calibrate pgd_delta without benign clients\n")
+        assert not out.exists()
+
 
 class TestMalformedCsv:
     CFG = ("n_clients = 2\nqueue_size = 2\nverify_set_size = 2\nn_verifiers = 1\n"
@@ -137,6 +173,16 @@ class TestMalformedCsv:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "label column must hold exact integers" in err and "Traceback" not in err
+
+    def test_target_outside_the_csv_classes_exits_with_config_error(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("".join(f"{i}.0,{i}.5,{i % 2}\n" for i in range(10)))
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(self.CFG + "target_class = 2\ntrigger_coords = 0\n")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--data", str(data_path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: target_class out of range\n"
 
 
 class TestFaultInjection:
@@ -209,6 +255,32 @@ class TestConfigEdgeCases:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {key}:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    # Each value's owner (nn.TrainConfig, data.PartitionSpec or data.PoisonSpec)
+    # refuses it, and validate asks that owner before any data is built.
+    @pytest.mark.parametrize("key, value, message", [
+        ("learning_rate", -1, "learning_rate must be nonnegative"),
+        ("local_epochs", 0, "local_epochs must be positive"),
+        ("batch_size", 0, "batch_size must be positive"),
+        ("per_client_size", 0, "n_clients and per_client_size must be positive"),
+        ("poison_rate", 1.5, "pdr must lie in [0, 1]"),
+        ("non_iid_degree", 1.5, "non_iid_degree must lie in [0, 1]"),
+    ], ids=["learning_rate", "local_epochs", "batch_size", "per_client_size", "poison_rate",
+            "non_iid_degree"])
+    def test_owner_checks_run_before_any_data(self, tmp_path, capsys, monkeypatch, key, value, message):
+        cfg = desk_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=re.escape(message)) as info:
+            SimConfig.from_file(cfg).validate()
+        assert isinstance(info.value.__cause__, DomainError)
+
+        def no_data(*args):
+            raise AssertionError("the data set-up ran")
+
+        monkeypatch.setattr(harness, "_synthetic_data", no_data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
     def test_defense_off_parses_and_admits_single_client_subsets(self, tmp_path):

@@ -236,6 +236,23 @@ class TestCsv:
         with pytest.raises(DomainError, match="exact integers"):
             data.load_csv(path, n_classes=4)
 
+    # With n_classes unset, the class count comes from the labels; a label that
+    # int() cannot read exactly must still end in the label rule's DomainError.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e20", "2.5"])
+    def test_inferred_class_count_refuses_inexact_labels(self, tmp_path, label):
+        path = tmp_path / "near.csv"
+        path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(DomainError, match="exact integers"):
+            data.load_csv(path)
+
+    def test_exact_float_labels_load_with_inferred_class_count(self, tmp_path):
+        path = tmp_path / "floats.csv"
+        path.write_text("1.0,2.0,0.0\n3.0,4.0,2.0\n5.0,6.0,1.0\n")
+        loaded = data.load_csv(path)
+        assert loaded.n_classes == 3 and loaded.y.dtype == np.int64
+        assert loaded.y.tolist() == [0, 2, 1]
+
     def test_non_integer_labels_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,0.5\n")
