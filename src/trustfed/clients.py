@@ -36,6 +36,10 @@ class Attack(str, enum.Enum):
     PGD_MR = "pgd_mr"
 
 
+# The attacks whose rounds end with a pgd projection, which needs ``AttackParams``.
+PROJECTING_ATTACKS = (Attack.PGD, Attack.PGD_MR)
+
+
 @dataclass(frozen=True)
 class AttackParams:
     """Strategy constants: replacement scale ``gamma``, projection radius ``delta``."""
@@ -122,7 +126,7 @@ def local_round(
     the received global model, which is the only gradient the verification
     protocol ever transmits.  A ``pgd`` or ``pgd_mr`` client needs ``attack_params``.
     """
-    projecting = profile.attack in (Attack.PGD, Attack.PGD_MR)
+    projecting = profile.attack in PROJECTING_ATTACKS
     if projecting and attack_params is None:
         raise DomainError(f"a {profile.attack.value} client needs attack_params")
     train = profile.data

@@ -226,6 +226,7 @@ def load_csv(path, n_classes: int = None) -> Dataset:
 
     A header row, a non-numeric cell or a ragged row raises ``DomainError``,
     and so does ``Dataset`` for a label that is not an exact integer in range.
+    With ``n_classes`` unset, so does a class count inferred above the row count.
     """
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -235,7 +236,10 @@ def load_csv(path, n_classes: int = None) -> Dataset:
         raise DomainError("CSV needs at least one feature column and a label column")
     x = raw[:, :-1]
     y = raw[:, -1]
-    if n_classes is None:
-        # int() reads labels below 2**53 exactly; Dataset refuses the rest (NaN, inf) as out of range.
-        n_classes = int(y[np.abs(y) < 2.0**53].max(initial=0)) + 1
-    return Dataset(x, y, n_classes)
+    if n_classes is not None:
+        return Dataset(x, y, n_classes)
+    # int() reads labels below 2**53 exactly; Dataset refuses the rest (NaN, inf) as out of range.
+    data = Dataset(x, y, int(y[np.abs(y) < 2.0**53].max(initial=0)) + 1)
+    if data.n_classes > len(data):
+        raise DomainError(f"labels imply {data.n_classes} classes but the CSV has {len(data)} rows")
+    return data

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defense, ledger, nn
-from .clients import Attack, AttackParams, ClientProfile, local_round
+from .clients import PROJECTING_ATTACKS, Attack, AttackParams, ClientProfile, local_round
 from .data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, load_csv, partition_non_iid, triggered_testset
 from .errors import ConfigError, DegenerateAggregationError, DomainError, NumericalError
 from .seeds import derive_seed
@@ -82,7 +82,9 @@ class SimConfig:
 
     def validate(self):
         for f in fields(self):
-            _checked(f, getattr(self, f.name))
+            value = getattr(self, f.name)
+            if not (_fits(f.type, value) or value is None and f.default is None):
+                raise ConfigError(f"{f.name}: {value!r} is not a valid {f.type.__name__}")
         if self.queue_size > self.n_clients:
             raise ConfigError("queue_size cannot exceed n_clients")
         if self.verify_subset_size > self.verify_set_size:
@@ -114,6 +116,11 @@ class SimConfig:
         if self.warm_start_size < 0:
             raise ConfigError("warm_start_size must be nonnegative")
         _specs(self)
+        if _warm_start_size(self):
+            try:
+                _warm_train_config(self.seed, self.warm_start_epochs)
+            except DomainError as exc:
+                raise ConfigError(f"warm_start_epochs: the warm start's {exc}") from exc
         return self
 
     def to_dict(self) -> dict:
@@ -123,7 +130,7 @@ class SimConfig:
 
     @classmethod
     def from_file(cls, path) -> "SimConfig":
-        """Parse a flat ``key = value`` file (# starts a comment)."""
+        """Parse a flat ``key = value`` file (# starts a comment); ``validate`` checks the values."""
         known = {f.name: f for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -138,7 +145,7 @@ class SimConfig:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice")
-            values[key] = _checked(known[key], _parse_value(known[key], text))
+            values[key] = _parse_value(known[key], text)
         return cls(**values)
 
 
@@ -151,25 +158,18 @@ def _parse_value(f, text: str):
         return (tuple(map(int, text.split(","))) if f.type is tuple
                 else words[text.lower()] if f.type is bool else f.type(text))
     except (KeyError, ValueError):
-        return text  # ``_checked`` rejects it, naming the field
+        return text  # ``validate`` rejects it, naming the field
 
 
 def _fits(kind, value) -> bool:
     """Whether ``value`` passes as ``kind``; numpy integers pass as ints, ints in float range as floats."""
     if kind is tuple:
-        return isinstance(value, tuple) and len(value) > 0 and all(_fits(int, c) for c in value)
+        return isinstance(value, tuple) and all(_fits(int, c) for c in value)
     if isinstance(value, bool) or kind is bool:
         return isinstance(value, bool) and kind is bool
     if kind is float:
         return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     return isinstance(value, numbers.Integral if kind is int else kind)
-
-
-def _checked(f, value):
-    """``value`` if it fits field ``f``'s annotation (None only where optional), else ``ConfigError``."""
-    if not (_fits(f.type, value) or value is None and f.default is None):
-        raise ConfigError(f"{f.name}: {value!r} is not a valid {f.type.__name__}")
-    return value
 
 
 def _specs(cfg: SimConfig):
@@ -224,11 +224,11 @@ def eval_ba(model: nn.ModelParams, triggered: Dataset, target_class: int) -> flo
 
 
 def eval_detection(queue_client_ids, trust_ledger: ledger.TrustLedger, attacker_ids):
-    """(TPR, TNR) over the round's queue, flagging trust strictly below 1/2."""
+    """(TPR, TNR) over the round's queue, flagging trust strictly below ``ledger.TRUST_THRESHOLD``."""
     if not queue_client_ids:
         raise DomainError("empty queue")
     attackers = set(attacker_ids)
-    flagged = {cid for cid in queue_client_ids if trust_ledger.trust(cid) < 0.5}
+    flagged = {cid for cid in queue_client_ids if trust_ledger.trust(cid) < ledger.TRUST_THRESHOLD}
     queue_attackers = [cid for cid in queue_client_ids if cid in attackers]
     queue_benign = [cid for cid in queue_client_ids if cid not in attackers]
     tpr = None
@@ -321,10 +321,20 @@ def _measure_pgd_delta(cfg: SimConfig, train_cfg, profiles, global_model) -> flo
     return 0.8 * float(np.median(norms))
 
 
+def _warm_start_size(cfg: SimConfig) -> int:
+    """Samples the run's warm start trains on; 0 (no warm start) on CSV data."""
+    return cfg.warm_start_size if cfg.data_csv is None else 0
+
+
+def _warm_train_config(master, warm_start_epochs) -> nn.TrainConfig:
+    return nn.TrainConfig(0.1, warm_start_epochs, 64, derive_seed(master, "warm_start_train"))
+
+
 @functools.lru_cache(maxsize=32)
 def _warm_start(master, n_features, hidden_width, n_classes, warm_start_size,
                 warm_start_epochs, data_separation) -> nn.ModelParams:
-    """Initial model pre-trained on a held-out seeded set, memoized per process.
+    """A run's initial model, memoized per process: the seeded raw init, pre-trained
+    on a held-out seeded set of ``warm_start_size`` samples unless that is 0.
 
     Starting near the main task's optimum makes clients report drift-scale
     gradients while a poisoned objective keeps producing large coordinated
@@ -332,10 +342,11 @@ def _warm_start(master, n_features, hidden_width, n_classes, warm_start_size,
     arrays are immutable, so runs in one process can share it.
     """
     model = nn.init_mlp(n_features, hidden_width, n_classes, derive_seed(master, "init"))
+    if warm_start_size == 0:
+        return model
     warm = gen_dataset(warm_start_size, n_classes, n_features,
                        derive_seed(master, "warm_start"), data_separation)
-    warm_cfg = nn.TrainConfig(0.1, warm_start_epochs, 64, derive_seed(master, "warm_start_train"))
-    return nn.sgd_train(model, warm.x, warm.y, warm_cfg)
+    return nn.sgd_train(model, warm.x, warm.y, _warm_train_config(master, warm_start_epochs))
 
 
 def run(cfg: SimConfig) -> RunResult:
@@ -370,19 +381,15 @@ def _run(cfg: SimConfig) -> RunResult:
             profiles.append(ClientProfile(cid, parts[cid]))
     triggered = triggered_testset(test, poison_spec)
 
-    if cfg.warm_start_size > 0 and cfg.data_csv is None:
-        global_model = _warm_start(cfg.seed, cfg.n_features, cfg.hidden_width, cfg.n_classes,
-                                   cfg.warm_start_size, cfg.warm_start_epochs, cfg.data_separation)
-    else:
-        global_model = nn.init_mlp(test.n_features, cfg.hidden_width, test.n_classes,
-                                   derive_seed(cfg.seed, "init"))
+    global_model = _warm_start(cfg.seed, test.n_features, cfg.hidden_width, test.n_classes,
+                               _warm_start_size(cfg), cfg.warm_start_epochs, cfg.data_separation)
     store = ledger.OffchainStore()
     state = ledger.ContractState(cfg.queue_size, store.put(nn.to_bytes(global_model)))
     trust = ledger.TrustLedger()
     trust.register(range(cfg.n_clients))
 
     attack_params = None
-    if cfg.attack in (Attack.PGD.value, Attack.PGD_MR.value) and attackers:
+    if cfg.attack in PROJECTING_ATTACKS and attackers:
         delta = (cfg.pgd_delta if cfg.pgd_delta is not None
                  else _measure_pgd_delta(cfg, train_cfg, profiles, global_model))
         attack_params = AttackParams(gamma=float(cfg.queue_size), delta=delta)

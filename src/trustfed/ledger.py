@@ -34,6 +34,7 @@ __all__ = [
     "SCORES_RECEIVED",
     "DEGENERATE_AGGREGATION",
     "VERIFIER_SHORTFALL",
+    "TRUST_THRESHOLD",
     "Event",
     "OffchainStore",
     "TrustLedger",
@@ -54,6 +55,8 @@ DEGENERATE_AGGREGATION = "DegenerateAggregation"
 VERIFIER_SHORTFALL = "VerifierShortfall"
 
 VALID_SCORES = (0.0, 0.5, 1.0)
+# caav admits verifiers with trust strictly above it; the harness flags clients strictly below it.
+TRUST_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -225,7 +228,7 @@ def select_verifiers(state: ContractState, ledger: TrustLedger, v: int, policy: 
     if policy == "open":
         pool = sorted(open_pool) if open_pool is not None else ledger.clients()
     elif policy == "caav":
-        pool = [cid for cid in ledger.clients() if ledger.trust(cid) > 0.5]
+        pool = [cid for cid in ledger.clients() if ledger.trust(cid) > TRUST_THRESHOLD]
     else:
         raise DomainError(f"unknown verifier policy {policy!r}")
     if len(pool) < v:

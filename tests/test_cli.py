@@ -283,6 +283,66 @@ class TestConfigEdgeCases:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
+    # from_file only parses; validate is the one type check, and its message is the CLI's.
+    def test_from_file_parses_and_validate_refuses_the_type(self, tmp_path, capsys):
+        path = desk_config(tmp_path, rounds="ten")
+        cfg = SimConfig.from_file(path)
+        assert cfg.rounds == "ten"
+        with pytest.raises(ConfigError) as info:
+            cfg.validate()
+        assert str(info.value) == "rounds: 'ten' is not a valid int"
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {info.value}\n"
+
+    # The warm start's nn.TrainConfig owns the epochs rule; validate asks it
+    # before any data is built, whenever a warm start would run.
+    def test_warm_start_epochs_are_checked_before_any_data(self, tmp_path, capsys, monkeypatch):
+        cfg = desk_config(tmp_path, warm_start_epochs=0)
+        message = "warm_start_epochs: the warm start's local_epochs must be positive"
+        with pytest.raises(ConfigError, match=re.escape(message)) as info:
+            SimConfig.from_file(cfg).validate()
+        assert isinstance(info.value.__cause__, DomainError)
+
+        def no_data(*args):
+            raise AssertionError("the data set-up ran")
+
+        monkeypatch.setattr(harness, "_synthetic_data", no_data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_zero_warm_start_epochs_run_without_a_warm_start(self, tmp_path):
+        cfg = desk_config(tmp_path, warm_start_size=0, warm_start_epochs=0, rounds=2)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+        from trustfed.data import gen_dataset
+        ds = gen_dataset(600, 3, 6, seed=1)
+        data_path = tmp_path / "data.csv"
+        np.savetxt(data_path, np.column_stack([ds.x, ds.y]), delimiter=",")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(TestMalformedCsv.CFG + "warm_start_epochs = 0\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "csv_out"),
+                         "--data", str(data_path)]) == 0
+
+    # These pass validate and are refused only inside run, by an owner that
+    # needs the built data or model.
+    @pytest.mark.parametrize("overrides", [
+        {"n_verifiers": 0},
+        {"hidden_width": 0},
+        {"queue_size": 0, "verify_set_size": 0, "verify_subset_size": 0, "defense_enabled": "off"},
+        {"n_features": 3, "n_classes": 5, "trigger_coords": "0,1"},
+        {"test_size": 0},
+    ], ids=["n_verifiers", "hidden_width", "queue_size", "n_features", "test_size"])
+    def test_refused_only_inside_run(self, tmp_path, capsys, overrides):
+        cfg = desk_config(tmp_path, **overrides)
+        SimConfig.from_file(cfg).validate()
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
+        assert not out.exists()
+
     def test_defense_off_parses_and_admits_single_client_subsets(self, tmp_path):
         cfg = SimConfig.from_file(desk_config(tmp_path, defense_enabled="off", verify_subset_size=1))
         assert cfg.defense_enabled is False

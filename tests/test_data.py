@@ -246,6 +246,15 @@ class TestCsv:
         with pytest.raises(DomainError, match="exact integers"):
             data.load_csv(path)
 
+    # An inferred class count above the row count is refused before anything
+    # loops over the classes (1e15 would give 10**15 of them).
+    @pytest.mark.parametrize("label", ["11", "1e15"])
+    def test_inferred_class_count_above_the_row_count_is_refused(self, tmp_path, label):
+        path = tmp_path / "wide.csv"
+        path.write_text("".join(f"{i}.0,{i}.5,{i % 2}\n" for i in range(10)) + f"10.0,10.5,{label}\n")
+        with pytest.raises(DomainError, match="classes but the CSV has 11 rows"):
+            data.load_csv(path)
+
     def test_exact_float_labels_load_with_inferred_class_count(self, tmp_path):
         path = tmp_path / "floats.csv"
         path.write_text("1.0,2.0,0.0\n3.0,4.0,2.0\n5.0,6.0,1.0\n")
