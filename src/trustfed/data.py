@@ -117,10 +117,21 @@ def gen_dataset(n: int, n_classes: int, n_features: int, seed: int,
     counts = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
     y = np.repeat(np.arange(n_classes), counts)
     y = y[rng.permutation(n)]
-    means = np.zeros((n_classes, n_features))
-    means[np.arange(n_classes), np.arange(n_classes)] = separation
-    x = means[y] + rng.standard_normal((n, n_features))
-    return Dataset(x, y, n_classes)
+    return Dataset(_add_class_means(rng.standard_normal((n, n_features)), y, separation), y, n_classes)
+
+
+def _add_class_means(z: np.ndarray, y: np.ndarray, separation: float) -> np.ndarray:
+    """``z`` plus each row's class mean, in place; its row-sized temporaries are freed
+    on return, before ``Dataset`` copies the result.
+
+    Bit for bit ``means[y] + z`` without gathering a ``means[y]`` the size of ``z``:
+    IEEE addition commutes, and ``0.0 + z`` turns a ``-0.0`` draw into ``+0.0``.
+    """
+    rows = np.arange(len(y))
+    own = z[rows, y] + separation   # from the draws themselves, so exact for separation = -0.0 too
+    z += 0.0
+    z[rows, y] = own
+    return z
 
 
 def partition_non_iid(data: Dataset, spec: PartitionSpec):
@@ -215,7 +226,7 @@ def triggered_testset(data: Dataset, spec: PoisonSpec) -> Dataset:
     """
     spec.check_fits(data.n_features, data.n_classes)
     keep = np.flatnonzero(data.y != spec.target_class)
-    x = data.x[keep].copy()
+    x = data.x[keep]   # fancy indexing copies
     x[:, np.array(spec.trigger_coords)] = spec.trigger_value
     y = np.full(keep.size, spec.target_class, dtype=np.int64)
     return Dataset(x, y, data.n_classes)

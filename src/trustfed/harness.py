@@ -173,14 +173,17 @@ def _fits(kind, value) -> bool:
 
 
 def _specs(cfg: SimConfig):
-    """The run's ``PoisonSpec`` (fitted to synthetic data), a client's ``nn.TrainConfig`` (seed 0) and
-    the ``PartitionSpec``, each checked by its owner; an owner's ``DomainError`` becomes a ``ConfigError``."""
+    """The run's ``PoisonSpec`` (fitted to synthetic data), a client's ``nn.TrainConfig`` (seed 0, its rate
+    also passing ``nn.check_gradient_rate``) and the ``PartitionSpec``, each checked by its owner; an
+    owner's ``DomainError`` becomes a ``ConfigError``."""
     try:
         poison_spec = PoisonSpec(cfg.target_class, cfg.trigger_coords, cfg.trigger_value,
                                  cfg.poison_rate, cfg.edge_case)
         if cfg.data_csv is None:
             poison_spec.check_fits(cfg.n_features, cfg.n_classes)
-        return (poison_spec, nn.TrainConfig(cfg.learning_rate, cfg.local_epochs, cfg.batch_size),
+        train_cfg = nn.TrainConfig(cfg.learning_rate, cfg.local_epochs, cfg.batch_size)
+        nn.check_gradient_rate(cfg.learning_rate)   # after TrainConfig, whose message a negative rate gets
+        return (poison_spec, train_cfg,
                 PartitionSpec(cfg.n_clients, cfg.non_iid_degree, cfg.per_client_size,
                               derive_seed(cfg.seed, "partition")))
     except DomainError as exc:
@@ -217,10 +220,14 @@ def eval_ma(model: nn.ModelParams, test: Dataset) -> float:
 
 def eval_ba(model: nn.ModelParams, triggered: Dataset, target_class: int) -> float:
     """Fraction of triggered samples predicted as the attacker's target."""
-    if len(triggered) == 0:
-        raise DomainError("empty triggered test set")
+    _check_triggered(triggered)
     probs = nn.forward_batch(model, triggered.x)
     return float((probs.argmax(axis=1) == target_class).mean())
+
+
+def _check_triggered(triggered: Dataset):
+    if len(triggered) == 0:
+        raise DomainError("empty triggered test set: every test sample is of the target class")
 
 
 def eval_detection(queue_client_ids, trust_ledger: ledger.TrustLedger, attacker_ids):
@@ -380,6 +387,7 @@ def _run(cfg: SimConfig) -> RunResult:
         else:
             profiles.append(ClientProfile(cid, parts[cid]))
     triggered = triggered_testset(test, poison_spec)
+    _check_triggered(triggered)   # before the warm start: backdoor accuracy needs a sample to trigger
 
     global_model = _warm_start(cfg.seed, test.n_features, cfg.hidden_width, test.n_classes,
                                _warm_start_size(cfg), cfg.warm_start_epochs, cfg.data_separation)
@@ -408,7 +416,7 @@ def _run(cfg: SimConfig) -> RunResult:
                     trust.update(cid, report.scores[cid])
         global_model = _aggregate(state, trust, store, global_model)
         ma = eval_ma(global_model, test)
-        ba = eval_ba(global_model, triggered, cfg.target_class) if len(triggered) else 0.0
+        ba = eval_ba(global_model, triggered, cfg.target_class)
         tpr, tnr = eval_detection(list(submissions), trust, attackers)
         metrics.append(RoundMetrics(t, ma, ba, tpr, tnr, time.perf_counter() - started))
 

@@ -36,6 +36,7 @@ __all__ = [
     "loss",
     "gradients",
     "sgd_train",
+    "check_gradient_rate",
     "extract_ultimate_gradient",
     "by_class_gradient",
     "lincomb",
@@ -364,6 +365,13 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
     return _from_flat(params, shapes)
 
 
+def check_gradient_rate(learning_rate: float):
+    """``DomainError`` unless ``learning_rate`` is positive, as dividing a round's
+    displacement by it to recover the ultimate gradient needs."""
+    if learning_rate <= 0:
+        raise DomainError("learning_rate must be positive to extract a gradient")
+
+
 def extract_ultimate_gradient(
     before: ModelParams, after: ModelParams, learning_rate: float, client_id: int = -1, round_index: int = 0
 ) -> UltimateGradient:
@@ -373,8 +381,7 @@ def extract_ultimate_gradient(
     can reconstruct a client's ultimate weights from the public global model.
     They score that reconstruction, which is what the golden digests pin.
     """
-    if learning_rate <= 0:
-        raise DomainError("learning_rate must be positive to extract a gradient")
+    check_gradient_rate(learning_rate)
     if not before.same_architecture(after):
         raise ShapeError("models have different architectures")
     u0, b0 = before.ultimate()

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trustfed import cli, harness
+from trustfed import cli, harness, nn
+from trustfed.data import Dataset
 from trustfed.errors import ConfigError, DomainError
 from trustfed.harness import SimConfig
 
@@ -310,6 +311,42 @@ class TestConfigEdgeCases:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    # nn.check_gradient_rate owns the positive rate verifiers divide by; validate
+    # asks it before any data is built, after TrainConfig refuses a negative rate.
+    def test_zero_learning_rate_is_checked_before_any_data(self, tmp_path, capsys, monkeypatch):
+        cfg = desk_config(tmp_path, learning_rate=0, rounds=3, warm_start_epochs=2)
+        message = "learning_rate must be positive to extract a gradient"
+        with pytest.raises(ConfigError, match=re.escape(message)) as info:
+            SimConfig.from_file(cfg).validate()
+        assert isinstance(info.value.__cause__, DomainError)
+
+        def no_data(*args):
+            raise AssertionError("the data set-up ran")
+
+        monkeypatch.setattr(harness, "_synthetic_data", no_data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    # With one class every test sample is of the target class, so backdoor
+    # accuracy has nothing to trigger: run refuses it with eval_ba's message,
+    # where it builds the triggered test set and before the warm start.
+    def test_one_class_data_is_refused_before_the_warm_start(self, tmp_path, capsys, monkeypatch):
+        cfg = desk_config(tmp_path, n_classes=1, target_class=0)
+        SimConfig.from_file(cfg).validate()
+        with pytest.raises(DomainError) as info:
+            harness.eval_ba(nn.init_mlp(20, 4, 1, seed=0), Dataset(np.zeros((0, 20)), [], 1), 0)
+
+        def no_warm_start(*args):
+            raise AssertionError("the warm start ran")
+
+        monkeypatch.setattr(harness, "_warm_start", no_warm_start)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {info.value}\n"
         assert not out.exists()
 
     def test_zero_warm_start_epochs_run_without_a_warm_start(self, tmp_path):
