@@ -96,8 +96,7 @@ def pgd_project(local: nn.ModelParams, global_model: nn.ModelParams, delta: floa
     """Project ``local`` onto the L2 ball of radius ``delta`` around the global model."""
     if delta <= 0:
         raise DomainError("delta must be positive")
-    if not local.same_architecture(global_model):
-        raise DomainError("models have different architectures")
+    local.check_architecture(global_model)
     diff = nn.flatten(local) - nn.flatten(global_model)
     norm = float(np.linalg.norm(diff))
     if norm <= delta:

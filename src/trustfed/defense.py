@@ -33,6 +33,7 @@ from .ledger import VALID_SCORES
 __all__ = [
     "TaskClient",
     "VerificationTask",
+    "check_task_size",
     "ScoreReport",
     "make_task",
     "filter_gradient_similarity",
@@ -57,6 +58,12 @@ class TaskClient:
     u_local: np.ndarray  # ultimate weights reconstructed from the global model
 
 
+def check_task_size(n_clients: int):
+    """``DomainError`` unless a task holds the two clients its filters need to compare."""
+    if n_clients < 2:
+        raise DomainError("a verification task needs at least two clients to compare")
+
+
 @dataclass(frozen=True)
 class VerificationTask:
     verifier_id: int
@@ -67,8 +74,7 @@ class VerificationTask:
     def __post_init__(self):
         ordered = tuple(sorted(self.clients, key=lambda c: c.client_id))
         object.__setattr__(self, "clients", ordered)
-        if len(ordered) < 2:
-            raise DomainError("a verification task needs at least two clients to compare")
+        check_task_size(len(ordered))
         ids = [c.client_id for c in ordered]
         if len(set(ids)) != len(ids):
             raise DomainError("duplicate client in verification task")
@@ -223,16 +229,8 @@ def filter_byclass_kmeans(task: VerificationTask) -> frozenset:
 
 
 def combine_scores(s1: frozenset, s2: frozenset, client_ids) -> dict:
-    """0 for clients in both sets, 1 for clients in neither, 1/2 otherwise."""
-    scores = {}
-    for cid in client_ids:
-        if cid in s1 and cid in s2:
-            scores[cid] = 0.0
-        elif cid not in s1 and cid not in s2:
-            scores[cid] = 1.0
-        else:
-            scores[cid] = 0.5
-    return scores
+    """Each client's score: ``VALID_SCORES[k]`` when k of the two suspect sets leave it out."""
+    return {cid: VALID_SCORES[(cid not in s1) + (cid not in s2)] for cid in client_ids}
 
 
 def verify(task: VerificationTask) -> ScoreReport:

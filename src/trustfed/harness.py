@@ -94,8 +94,6 @@ class SimConfig:
                 "simulation runs verify exactly the queued clients; "
                 "set verify_set_size equal to queue_size"
             )
-        if self.defense_enabled and self.verify_subset_size < 2:
-            raise ConfigError("verifiers need at least two clients to compare")
         if not 0.0 <= self.attacker_ratio <= 1.0:
             raise ConfigError("attacker_ratio must lie in [0, 1]")
         if not 0.0 <= self.bad_verifier_fraction <= 1.0:
@@ -109,6 +107,9 @@ class SimConfig:
                             ("bad_verifier_mode", defense.CORRUPTION_MODES)):
             if getattr(self, name) not in known:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; expected one of {', '.join(known)}")
+        if (self.attack in PROJECTING_ATTACKS and self.pgd_delta is None
+                and _attacker_count(self) == self.n_clients):   # _measure_pgd_delta trains benign clients
+            raise ConfigError("cannot calibrate pgd_delta without benign clients")
         if self.rounds < 1:
             raise ConfigError("rounds must be positive")
         if self.verify_lag < 0:
@@ -174,8 +175,8 @@ def _fits(kind, value) -> bool:
 
 def _specs(cfg: SimConfig):
     """The run's ``PoisonSpec`` (fitted to synthetic data), a client's ``nn.TrainConfig`` (seed 0, its rate
-    also passing ``nn.check_gradient_rate``) and the ``PartitionSpec``, each checked by its owner; an
-    owner's ``DomainError`` becomes a ``ConfigError``."""
+    passing ``nn.check_gradient_rate`` too) and the ``PartitionSpec``, each checked by its owner, as is a
+    defended run's subset size (``defense.check_task_size``); an owner's ``DomainError`` is a ``ConfigError``."""
     try:
         poison_spec = PoisonSpec(cfg.target_class, cfg.trigger_coords, cfg.trigger_value,
                                  cfg.poison_rate, cfg.edge_case)
@@ -183,6 +184,8 @@ def _specs(cfg: SimConfig):
             poison_spec.check_fits(cfg.n_features, cfg.n_classes)
         train_cfg = nn.TrainConfig(cfg.learning_rate, cfg.local_epochs, cfg.batch_size)
         nn.check_gradient_rate(cfg.learning_rate)   # after TrainConfig, whose message a negative rate gets
+        if cfg.defense_enabled:
+            defense.check_task_size(cfg.verify_subset_size)
         return (poison_spec, train_cfg,
                 PartitionSpec(cfg.n_clients, cfg.non_iid_degree, cfg.per_client_size,
                               derive_seed(cfg.seed, "partition")))
@@ -212,8 +215,6 @@ class RunResult:
 
 def eval_ma(model: nn.ModelParams, test: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
-    if len(test) == 0:
-        raise DomainError("empty test set")
     probs = nn.forward_batch(model, test.x)
     return float((probs.argmax(axis=1) == test.y).mean())
 
@@ -323,8 +324,6 @@ def _measure_pgd_delta(cfg: SimConfig, train_cfg, profiles, global_model) -> flo
         warm_cfg = replace(train_cfg, seed=derive_seed(cfg.seed, "warmup", profile.client_id))
         trained = nn.sgd_train(global_model, profile.data.x, profile.data.y, warm_cfg)
         norms.append(float(np.linalg.norm(nn.flatten(trained) - base)))
-    if not norms:
-        raise ConfigError("cannot calibrate pgd_delta without benign clients")
     return 0.8 * float(np.median(norms))
 
 
@@ -383,7 +382,7 @@ def _run(cfg: SimConfig) -> RunResult:
     profiles = []
     for cid in range(cfg.n_clients):
         if cid in attackers:
-            profiles.append(ClientProfile(cid, parts[cid], Attack(cfg.attack), poison_spec))
+            profiles.append(ClientProfile(cid, parts[cid], cfg.attack, poison_spec))
         else:
             profiles.append(ClientProfile(cid, parts[cid]))
     triggered = triggered_testset(test, poison_spec)

@@ -54,6 +54,7 @@ SCORES_RECEIVED = "ScoresReceived"
 DEGENERATE_AGGREGATION = "DegenerateAggregation"
 VERIFIER_SHORTFALL = "VerifierShortfall"
 
+# Order matters: defense.combine_scores gives entry k to a client that k of its two filters leave out.
 VALID_SCORES = (0.0, 0.5, 1.0)
 # caav admits verifiers with trust strictly above it; the harness flags clients strictly below it.
 TRUST_THRESHOLD = 0.5

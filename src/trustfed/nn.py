@@ -111,8 +111,10 @@ class ModelParams:
         last = self.layers[-1]
         return last.weights, last.bias
 
-    def same_architecture(self, other: "ModelParams") -> bool:
-        return _shapes(self) == _shapes(other)
+    def check_architecture(self, other: "ModelParams"):
+        """``ShapeError`` unless ``other`` has this model's layer shapes."""
+        if _shapes(self) != _shapes(other):
+            raise ShapeError("models have different architectures")
 
     @cached_property
     def _flat(self) -> np.ndarray:
@@ -382,8 +384,7 @@ def extract_ultimate_gradient(
     They score that reconstruction, which is what the golden digests pin.
     """
     check_gradient_rate(learning_rate)
-    if not before.same_architecture(after):
-        raise ShapeError("models have different architectures")
+    before.check_architecture(after)
     u0, b0 = before.ultimate()
     u1, b1 = after.ultimate()
     return UltimateGradient(
@@ -408,8 +409,7 @@ def lincomb(models, coeffs) -> ModelParams:
         raise DomainError("lincomb needs matching nonempty models and coefficients")
     first = models[0]
     for m in models[1:]:
-        if not first.same_architecture(m):
-            raise ShapeError("models have different architectures")
+        first.check_architecture(m)
     # sum() starts from 0, so each entry is 0 + c_0 x_0 + c_1 x_1 + ... left
     # to right, exactly as a zero-filled accumulator adds it up.
     return _from_flat(sum(c * flatten(m) for c, m in zip(coeffs, models)), _shapes(first))

@@ -57,6 +57,12 @@ def _check_positive(**kwargs):
             raise DomainError(f"{name} must be a positive integer, got {value}")
 
 
+def _check_subset_size(m: int, subset_size: int, **more):
+    _check_positive(m=m, subset_size=subset_size, **more)
+    if subset_size > m:
+        raise DomainError("subset_size cannot exceed m")
+
+
 def expected_L(m: int, v: int) -> float:
     """Closed-form guideline for the per-verifier subset size.
 
@@ -77,9 +83,7 @@ def expected_L(m: int, v: int) -> float:
 
 def expected_V(m: int, subset_size: int) -> float:
     """Expected number of uniform ``subset_size``-subsets needed to cover m clients."""
-    _check_positive(m=m, subset_size=subset_size)
-    if subset_size > m:
-        raise DomainError("subset_size cannot exceed m")
+    _check_subset_size(m, subset_size)
     c_ml = comb(m, subset_size)
     acc = Fraction(0)
     for s in range(1, m + 1):
@@ -187,9 +191,7 @@ def _draws(m: int, subset_size: int, trials: int, seed: int, limit: int = None) 
 
 def mc_coverage(m: int, subset_size: int, trials: int, seed: int) -> CoverageEstimate:
     """Simulate drawing uniform subsets until the m-set is covered."""
-    _check_positive(m=m, subset_size=subset_size, trials=trials)
-    if subset_size > m:
-        raise DomainError("subset_size cannot exceed m")
+    _check_subset_size(m, subset_size, trials=trials)
     return CoverageEstimate(m, subset_size, _draws(m, subset_size, trials, seed))
 
 

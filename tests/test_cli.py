@@ -9,7 +9,7 @@ import pytest
 
 from trustfed import cli, harness, nn
 from trustfed.data import Dataset
-from trustfed.errors import ConfigError, DomainError
+from trustfed.errors import ConfigError, DomainError, IntegrityError
 from trustfed.harness import SimConfig
 
 
@@ -212,6 +212,20 @@ class TestFaultInjection:
         assert "VerifierShortfall" in kinds
         assert kinds.count("GlobalUpdated") == 3
 
+    # Any other TrustFedError (here the store's) exits 1 with one line.
+    def test_other_package_error_exits_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def corrupt_store(cfg):
+            raise IntegrityError("stored bytes do not hash to 0123456789ab...")
+
+        monkeypatch.setattr(cli, "run", corrupt_store)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(FAST_CFG)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: stored bytes do not hash to 0123456789ab...\n"
+        assert captured.out == "" and not out.exists()
+
 
 class TestConfigEdgeCases:
     @pytest.mark.parametrize("overrides", [
@@ -321,6 +335,27 @@ class TestConfigEdgeCases:
         with pytest.raises(ConfigError, match=re.escape(message)) as info:
             SimConfig.from_file(cfg).validate()
         assert isinstance(info.value.__cause__, DomainError)
+
+        def no_data(*args):
+            raise AssertionError("the data set-up ran")
+
+        monkeypatch.setattr(harness, "_synthetic_data", no_data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    # pgd calibration trains the benign clients, and whether there are any is
+    # a config fact: validate refuses a run without one before any data.
+    @pytest.mark.parametrize("attack", ["pgd", "pgd_mr"])
+    def test_pgd_calibration_without_benign_clients_is_refused_before_any_data(
+            self, tmp_path, capsys, monkeypatch, attack):
+        SimConfig.from_file(desk_config(tmp_path, attacker_ratio=1, attack=attack, pgd_delta=0.5)).validate()
+        cfg = desk_config(tmp_path, attacker_ratio=1, attack=attack)
+        message = "cannot calibrate pgd_delta without benign clients"
+        with pytest.raises(ConfigError) as info:
+            SimConfig.from_file(cfg).validate()
+        assert str(info.value) == message
 
         def no_data(*args):
             raise AssertionError("the data set-up ran")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trustfed import clients, data, nn
-from trustfed.errors import DomainError
+from trustfed.errors import DomainError, ShapeError
 from trustfed.hashing import model_digest
 
 
@@ -17,6 +17,13 @@ def make_profile(seed, attack="none", pdr=0.3, n=80):
 
 def small_global(seed=0):
     return nn.init_mlp(6, 8, 3, seed=seed)
+
+
+class TestClientProfile:
+    @pytest.mark.parametrize("attack", ["blackbox", "pgd", "pgd_mr"])
+    def test_compromised_client_needs_a_poison_spec(self, attack):
+        with pytest.raises(DomainError, match="needs a poison spec"):
+            clients.ClientProfile(7, data.gen_dataset(20, 3, 6, seed=0), attack)
 
 
 class TestLocalRound:
@@ -120,6 +127,14 @@ class TestSubmissionInvariants:
         with pytest.raises(DomainError):
             clients.Submission(0, g, other, 10, model_digest(g), 1)
 
+    @pytest.mark.parametrize("data_size", [0, -3])
+    def test_nonpositive_data_size_rejected(self, data_size):
+        g = small_global()
+        zeros = nn.UltimateGradient(np.zeros_like(g.layers[-1].weights),
+                                    np.zeros_like(g.layers[-1].bias), 0, 1)
+        with pytest.raises(DomainError, match="data_size must be positive"):
+            clients.Submission(0, g, zeros, data_size, model_digest(g), 1)
+
 
 class TestPgdProject:
     def test_identical_models_unchanged(self):
@@ -164,8 +179,17 @@ class TestPgdProject:
         with pytest.raises(DomainError):
             clients.pgd_project(g, g, 0.0)
 
+    # nn.ModelParams.check_architecture owns the rule, with its ShapeError.
+    def test_different_architectures_raise_shape_error(self):
+        with pytest.raises(ShapeError, match="models have different architectures"):
+            clients.pgd_project(nn.init_mlp(6, 4, 3, seed=0), small_global(13), 1.0)
+
 
 class TestModelReplace:
+    def test_negative_gamma_rejected(self):
+        with pytest.raises(DomainError, match="gamma must be nonnegative"):
+            clients.model_replace(small_global(20), small_global(21), -1.0)
+
     def test_gamma_one_is_local(self):
         g, local = small_global(14), small_global(15)
         out = clients.model_replace(local, g, 1.0)

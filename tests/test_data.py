@@ -125,6 +125,16 @@ class TestDatasetArrays:
         with pytest.raises(DomainError):
             data.Dataset(np.ones((3, 2)), labels, 2)
 
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones((3, 2, 1))], ids=["vector", "3-d"])
+    def test_features_must_be_a_matrix(self, x):
+        with pytest.raises(DomainError, match="features must be an"):
+            data.Dataset(x, [0, 1, 1], 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            data.Dataset(np.array([[1.0, bad], [0.0, 1.0]]), [0, 1], 2)
+
 
 class TestPartition:
     def test_iid_histogram_roughly_uniform(self):
@@ -156,6 +166,13 @@ class TestPartition:
         ds = data.gen_dataset(100, 2, 3, seed=13)
         with pytest.raises(DomainError):
             data.partition_non_iid(ds, data.PartitionSpec(3, 0.0, 50, seed=0))
+
+    def test_exhausted_class_rejected(self):
+        # Enough rows in all, but client 0 draws its dominant class 0 twice
+        # (phi = 1) and the data hold one row of it.
+        ds = data.Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 1, 1], 2)
+        with pytest.raises(DomainError, match="class 0 exhausted while partitioning"):
+            data.partition_non_iid(ds, data.PartitionSpec(2, 1.0, 2, seed=0))
 
     def test_is_multiset_partition_of_input(self):
         ds = data.gen_dataset(3000, 3, 4, seed=14)
@@ -238,6 +255,15 @@ class TestPoison:
         assert flags.sum() == 12  # ceil(0.02 * 600)
         assert set(np.flatnonzero(flags)) <= set(tail)
 
+    # A class absent from the data has no tail; nothing takes a mean of no rows.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_edge_case_skips_a_class_absent_from_the_data(self):
+        two = data.gen_dataset(300, 2, 4, seed=34)
+        three = data.Dataset(two.x, two.y, 3)
+        _, flags = data.poison(three, self.spec(0.05, edge_case=True), seed=35)
+        _, expected = data.poison(two, self.spec(0.05, edge_case=True), seed=35)
+        assert (flags == expected).all() and flags.sum() == 15
+
 
 class TestTriggeredTestset:
     def spec(self):
@@ -316,4 +342,10 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,0.5\n")
         with pytest.raises(DomainError):
+            data.load_csv(path)
+
+    def test_single_column_rejected(self, tmp_path):
+        path = tmp_path / "labels_only.csv"
+        path.write_text("0\n1\n1\n")
+        with pytest.raises(DomainError, match="at least one feature column and a label column"):
             data.load_csv(path)

@@ -247,6 +247,15 @@ class TestByClassFilter:
                 assert got is not None and (got == expect).all()
         assert tied >= 100
 
+    def test_two_means_drops_a_split_that_empties_a_cluster(self):
+        # The farthest pair is 0.1 and its float successor.  The first split
+        # is {0.1, 0.1, 0.1} against the successor, but (0.1 + 0.1 + 0.1) / 3
+        # rounds to the successor: both centers coincide, every point ties
+        # toward the first cluster, and the other would be empty.
+        after = np.nextafter(0.1, 1.0)
+        assert (0.1 + 0.1 + 0.1) / 3 == after
+        assert defense._two_means(np.array([[0.1], [0.1], [0.1], [after]])) is None
+
     def test_deterministic_across_runs_and_orders(self):
         rng = np.random.default_rng(7)
         members = [
@@ -339,6 +348,16 @@ class TestCombineAndVerify:
         members = [make_client(i, [[1.0]]) for i in range(n)]
         with pytest.raises(DomainError, match="at least two clients"):
             make_task(members)
+
+    def test_duplicate_client_rejected(self):
+        members = [make_client(0, [[1.0]]), make_client(0, [[2.0]]), make_client(1, [[3.0]])]
+        with pytest.raises(DomainError, match="duplicate client"):
+            make_task(members)
+
+    def test_client_without_a_trust_snapshot_rejected(self):
+        members = [make_client(i, [[float(i)]]) for i in range(3)]
+        with pytest.raises(DomainError, match="missing trust snapshot for client 2"):
+            make_task(members, trust={0: 1.0, 1: 0.5})
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(10)

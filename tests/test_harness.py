@@ -62,6 +62,12 @@ class TestEvalMa:
         with pytest.raises(DomainError):
             eval_ma(model, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2))
 
+    # nn._batch owns the rule; eval_ma does not restate it.
+    def test_empty_set_gets_the_batch_rule(self):
+        model = nn.init_mlp(2, 3, 2, seed=0)
+        with pytest.raises(DomainError, match="a batch needs at least one row"):
+            eval_ma(model, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2))
+
 
 class TestEvalBa:
     def test_hardwired_target(self):
@@ -101,6 +107,10 @@ class TestEvalDetection:
         tl = self.make_ledger({0: [], 1: []})
         tpr, tnr = eval_detection([0, 1], tl, attacker_ids=set())
         assert tpr is None and tnr == 1.0
+
+    def test_empty_queue_rejected(self):
+        with pytest.raises(DomainError, match="empty queue"):
+            eval_detection([], self.make_ledger({0: [0.0]}), attacker_ids={0})
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(6)
@@ -209,6 +219,16 @@ class TestRun:
             SimConfig(attacker_ratio=1.5).validate()
         with pytest.raises(ConfigError):
             SimConfig(verify_set_size=5, queue_size=10).validate()
+
+    # defense.check_task_size owns the two-client floor; validate asks it.
+    def test_subset_floor_is_the_verification_task_floor(self):
+        alone = defense.TaskClient(0, np.zeros((2, 2)), np.zeros(2), 10, np.zeros((2, 2)))
+        with pytest.raises(DomainError) as floor:
+            defense.VerificationTask(0, (alone,), 1, {0: 1.0})
+        with pytest.raises(ConfigError) as refused:
+            SimConfig(verify_subset_size=1).validate()
+        assert str(refused.value) == str(floor.value)
+        assert isinstance(refused.value.__cause__, DomainError)
 
     def test_unknown_attack_rejected_by_validate(self):
         cfg = SimConfig(attack="trojan")

@@ -118,6 +118,16 @@ class TestSubmitAndStore:
         with pytest.raises(IntegrityError):
             ledger.submit(state, store, sub)
 
+    def test_full_queue_rejected(self):
+        state, store = fresh_contract(1)
+        submit_models(state, store, [constant_model(1.0)])
+        events = list(state.events)
+        late = constant_model(2.0)
+        store.put(nn.to_bytes(late))
+        with pytest.raises(DomainError, match="aggregation queue is full"):
+            ledger.submit(state, store, make_submission(1, late))
+        assert len(state.queue) == 1 and state.events == events
+
     def test_thirty_submits_emit_one_queue_full(self):
         state, store = fresh_contract(30)
         submit_models(state, store, [constant_model(i) for i in range(30)])
@@ -342,6 +352,11 @@ class TestVerifierSelection:
             tl.update(cid, 0.0)
         chosen = ledger.select_verifiers(state, tl, 2, "open", seed=8)
         assert len(chosen) == 2
+
+    def test_unknown_policy_rejected(self):
+        state, _ = fresh_contract(2)
+        with pytest.raises(DomainError, match="unknown verifier policy 'closed'"):
+            ledger.select_verifiers(state, unscored_ledger(4), 2, "closed", seed=9)
 
 
 class TestEvents:

@@ -450,8 +450,27 @@ class TestLincomb:
         assert nn.to_bytes(out) == nn.to_bytes(reference_lincomb([model], [1.0]))
         assert not np.signbit(out.layers[0].weights[0, 0])
 
+    @pytest.mark.parametrize("n_models, n_coeffs", [(0, 0), (2, 1), (1, 2)])
+    def test_models_and_coefficients_must_match(self, n_models, n_coeffs):
+        model = single_layer(np.ones((2, 2)), np.ones(2))
+        with pytest.raises(DomainError, match="matching nonempty models and coefficients"):
+            nn.lincomb([model] * n_models, [1.0] * n_coeffs)
+
 
 class TestModelParams:
+    def test_needs_a_layer(self):
+        with pytest.raises(ShapeError, match="at least one layer"):
+            nn.ModelParams(())
+
+    @pytest.mark.parametrize("weights", [np.zeros(3), np.zeros((3, 2, 1))], ids=["vector", "3-d"])
+    def test_layer_weights_must_be_a_matrix(self, weights):
+        with pytest.raises(ShapeError, match="weight matrix and a bias vector"):
+            nn.Layer(weights, np.zeros(3))
+
+    def test_layer_bias_must_match_the_output_rows(self):
+        with pytest.raises(ShapeError, match="bias length 2 does not match 3 output rows"):
+            nn.Layer(np.zeros((3, 2)), np.zeros(2))
+
     def test_dimension_chain_enforced(self):
         with pytest.raises(ShapeError):
             nn.ModelParams((nn.Layer(np.zeros((3, 2)), np.zeros(3)),

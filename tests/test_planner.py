@@ -112,6 +112,14 @@ class TestMcCoverage:
         with pytest.raises(DomainError):
             planner.mc_coverage(5, 2, trials=0, seed=0)
 
+    def test_oversized_subset_rejected(self):
+        with pytest.raises(DomainError, match="subset_size cannot exceed m"):
+            planner.mc_coverage(4, 5, trials=10, seed=0)
+
+    def test_one_trial_has_no_standard_error(self):
+        est = planner.CoverageEstimate(5, 2, np.array([4]))
+        assert est.std_err == math.inf
+
     def test_prob_covered_monotone(self):
         est = planner.mc_coverage(10, 3, trials=20000, seed=7)
         probs = [est.prob_covered(v) for v in range(1, 30)]
