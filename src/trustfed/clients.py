@@ -24,6 +24,7 @@ __all__ = [
     "ClientProfile",
     "Submission",
     "local_round",
+    "check_delta",
     "pgd_project",
     "model_replace",
 ]
@@ -92,10 +93,15 @@ class Submission:
             raise DomainError("digest does not match the model's canonical bytes")
 
 
-def pgd_project(local: nn.ModelParams, global_model: nn.ModelParams, delta: float) -> nn.ModelParams:
-    """Project ``local`` onto the L2 ball of radius ``delta`` around the global model."""
+def check_delta(delta: float):
+    """``DomainError`` unless ``delta``, a pgd projection radius, is positive."""
     if delta <= 0:
         raise DomainError("delta must be positive")
+
+
+def pgd_project(local: nn.ModelParams, global_model: nn.ModelParams, delta: float) -> nn.ModelParams:
+    """Project ``local`` onto the L2 ball of radius ``delta`` around the global model."""
+    check_delta(delta)
     local.check_architecture(global_model)
     diff = nn.flatten(local) - nn.flatten(global_model)
     norm = float(np.linalg.norm(diff))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defense, ledger, nn
-from .clients import PROJECTING_ATTACKS, Attack, AttackParams, ClientProfile, local_round
+from .clients import PROJECTING_ATTACKS, Attack, AttackParams, ClientProfile, check_delta, local_round
 from .data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, load_csv, partition_non_iid, triggered_testset
 from .errors import ConfigError, DegenerateAggregationError, DomainError, NumericalError
 from .seeds import derive_seed
@@ -175,8 +175,9 @@ def _fits(kind, value) -> bool:
 
 def _specs(cfg: SimConfig):
     """The run's ``PoisonSpec`` (fitted to synthetic data), a client's ``nn.TrainConfig`` (seed 0, its rate
-    passing ``nn.check_gradient_rate`` too) and the ``PartitionSpec``, each checked by its owner, as is a
-    defended run's subset size (``defense.check_task_size``); an owner's ``DomainError`` is a ``ConfigError``."""
+    passing ``nn.check_gradient_rate`` too) and the ``PartitionSpec``, each checked by its owner, as are a
+    defended run's subset size (``defense.check_task_size``) and a pgd or pgd_mr run's given ``pgd_delta``
+    (``clients.check_delta``); an owner's ``DomainError`` is a ``ConfigError``."""
     try:
         poison_spec = PoisonSpec(cfg.target_class, cfg.trigger_coords, cfg.trigger_value,
                                  cfg.poison_rate, cfg.edge_case)
@@ -186,6 +187,8 @@ def _specs(cfg: SimConfig):
         nn.check_gradient_rate(cfg.learning_rate)   # after TrainConfig, whose message a negative rate gets
         if cfg.defense_enabled:
             defense.check_task_size(cfg.verify_subset_size)
+        if cfg.attack in PROJECTING_ATTACKS and cfg.pgd_delta is not None:
+            check_delta(cfg.pgd_delta)
         return (poison_spec, train_cfg,
                 PartitionSpec(cfg.n_clients, cfg.non_iid_degree, cfg.per_client_size,
                               derive_seed(cfg.seed, "partition")))
@@ -371,6 +374,8 @@ def run(cfg: SimConfig) -> RunResult:
 def _run(cfg: SimConfig) -> RunResult:
     cfg.validate()
     poison_spec, train_cfg, partition = _specs(cfg)
+    if cfg.defense_enabled:
+        ledger.check_verifier_count(cfg.n_verifiers)   # the contract's rule, asked before any data
     if cfg.data_csv is not None:
         parts, test = _load_csv_data(cfg, partition)
     else:

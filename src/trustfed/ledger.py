@@ -42,6 +42,7 @@ __all__ = [
     "submit",
     "aggregate",
     "select_verification_set",
+    "check_verifier_count",
     "select_verifiers",
     "export_events",
 ]
@@ -214,6 +215,12 @@ def select_verification_set(state: ContractState) -> frozenset:
 VERIFIER_POLICIES = ("open", "caav")
 
 
+def check_verifier_count(v: int):
+    """``DomainError`` unless a round draws at least one verifier."""
+    if v < 1:
+        raise DomainError("verifier count must be positive")
+
+
 def select_verifiers(state: ContractState, ledger: TrustLedger, v: int, policy: str, seed: int,
                      open_pool=None):
     """Draw ``v`` verifiers from the pool the policy allows.
@@ -224,8 +231,7 @@ def select_verifiers(state: ContractState, ledger: TrustLedger, v: int, policy: 
     returns all eligible verifiers and logs it, and verification proceeds
     degraded.
     """
-    if v < 1:
-        raise DomainError("verifier count must be positive")
+    check_verifier_count(v)
     if policy == "open":
         pool = sorted(open_pool) if open_pool is not None else ledger.clients()
     elif policy == "caav":

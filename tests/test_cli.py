@@ -366,6 +366,41 @@ class TestConfigEdgeCases:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
+    # clients.check_delta owns the projection radius that pgd_project needs;
+    # validate asks it before any data, not in round 1's first attacker round.
+    @pytest.mark.parametrize("attack", ["pgd", "pgd_mr"])
+    @pytest.mark.parametrize("delta", [0, -0.5])
+    def test_pgd_delta_is_checked_before_any_data(self, tmp_path, capsys, monkeypatch, attack, delta):
+        cfg = desk_config(tmp_path, attack=attack, pgd_delta=delta)
+        message = "delta must be positive"
+        with pytest.raises(ConfigError) as info:
+            SimConfig.from_file(cfg).validate()
+        assert str(info.value) == message and isinstance(info.value.__cause__, DomainError)
+
+        def no_data(*args):
+            raise AssertionError("the data set-up ran")
+
+        monkeypatch.setattr(harness, "_synthetic_data", no_data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    # ledger.check_verifier_count owns the rule select_verifiers applies in
+    # every round; a defended run asks it before any data is built.
+    def test_verifier_count_is_checked_before_any_data(self, tmp_path, capsys, monkeypatch):
+        cfg = desk_config(tmp_path, n_verifiers=0)
+        SimConfig.from_file(cfg).validate()
+
+        def no_data(*args):
+            raise AssertionError("the data set-up ran")
+
+        monkeypatch.setattr(harness, "_synthetic_data", no_data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: verifier count must be positive\n"
+        assert not out.exists()
+
     # With one class every test sample is of the target class, so backdoor
     # accuracy has nothing to trigger: run refuses it with eval_ba's message,
     # where it builds the triggered test set and before the warm start.
@@ -397,8 +432,8 @@ class TestConfigEdgeCases:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "csv_out"),
                          "--data", str(data_path)]) == 0
 
-    # These pass validate and are refused only inside run, by an owner that
-    # needs the built data or model.
+    # These pass validate and are refused only inside run: n_verifiers before
+    # any data, the rest by an owner that needs the built data or model.
     @pytest.mark.parametrize("overrides", [
         {"n_verifiers": 0},
         {"hidden_width": 0},
