@@ -25,6 +25,7 @@ __all__ = [
     "Submission",
     "local_round",
     "check_delta",
+    "calibrated_delta",
     "pgd_project",
     "model_replace",
 ]
@@ -97,6 +98,18 @@ def check_delta(delta: float):
     """``DomainError`` unless ``delta``, a pgd projection radius, is positive."""
     if delta <= 0:
         raise DomainError("delta must be positive")
+
+
+def calibrated_delta(benign_norms) -> float:
+    """The default projection radius: 0.8 times the median benign update norm.
+
+    The median is ``np.median``'s bit for bit, the middle norm or the middle
+    pair's ``(a + b) / 2``, without the ``numpy.ma`` import ``np.median``
+    makes on first use.
+    """
+    norms = sorted(benign_norms)
+    mid = len(norms) // 2
+    return 0.8 * (norms[mid] if len(norms) % 2 else (norms[mid - 1] + norms[mid]) / 2)
 
 
 def pgd_project(local: nn.ModelParams, global_model: nn.ModelParams, delta: float) -> nn.ModelParams:

@@ -21,6 +21,7 @@ __all__ = [
     "Dataset",
     "PartitionSpec",
     "PoisonSpec",
+    "check_generator_shape",
     "gen_dataset",
     "partition_non_iid",
     "poison",
@@ -73,6 +74,12 @@ class PartitionSpec:
         if not 0.0 <= self.non_iid_degree <= 1.0:
             raise DomainError("non_iid_degree must lie in [0, 1]")
 
+    def check_pool_size(self, n_rows: int):
+        """``DomainError`` unless a pool of ``n_rows`` samples can fill every client."""
+        need = self.n_clients * self.per_client_size
+        if n_rows < need:
+            raise DomainError(f"need at least {need} samples, got {n_rows}")
+
 
 @dataclass(frozen=True)
 class PoisonSpec:
@@ -101,6 +108,15 @@ class PoisonSpec:
             raise DomainError("trigger coordinate out of feature range")
 
 
+def check_generator_shape(n: int, n_classes: int, n_features: int):
+    """``DomainError`` unless ``gen_dataset`` can place ``n`` samples of ``n_classes``
+    clusters in ``n_features`` dimensions: all positive, ``n_features >= n_classes``."""
+    if n < 1 or n_classes < 1 or n_features < 1:
+        raise DomainError("n, n_classes and n_features must be positive")
+    if n_features < n_classes:
+        raise DomainError("need n_features >= n_classes to place cluster means")
+
+
 def gen_dataset(n: int, n_classes: int, n_features: int, seed: int,
                 separation: float = DEFAULT_SEPARATION) -> Dataset:
     """Sample ``n`` points from ``n_classes`` Gaussian clusters, labels balanced.
@@ -109,20 +125,23 @@ def gen_dataset(n: int, n_classes: int, n_features: int, seed: int,
     ``n_features >= n_classes``.  The default separation keeps pairwise Bayes
     accuracy above 99 percent.
     """
-    if n < 1 or n_classes < 1 or n_features < 1:
-        raise DomainError("n, n_classes and n_features must be positive")
-    if n_features < n_classes:
-        raise DomainError("need n_features >= n_classes to place cluster means")
+    return Dataset(*_gen_arrays(n, n_classes, n_features, seed, separation), n_classes)
+
+
+def _gen_arrays(n, n_classes, n_features, seed, separation):
+    """``gen_dataset``'s features and labels as the generator makes them: writable,
+    neither frozen nor validated, for callers that keep only parts of them."""
+    check_generator_shape(n, n_classes, n_features)
     rng = np.random.default_rng(seed)
     counts = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
     y = np.repeat(np.arange(n_classes), counts)
     y = y[rng.permutation(n)]
-    return Dataset(_add_class_means(rng.standard_normal((n, n_features)), y, separation), y, n_classes)
+    return _add_class_means(rng.standard_normal((n, n_features)), y, separation), y
 
 
 def _add_class_means(z: np.ndarray, y: np.ndarray, separation: float) -> np.ndarray:
     """``z`` plus each row's class mean, in place; its row-sized temporaries are freed
-    on return, before ``Dataset`` copies the result.
+    on return, so the result is the only array the size of ``z``.
 
     Bit for bit ``means[y] + z`` without gathering a ``means[y]`` the size of ``z``:
     IEEE addition commutes, and ``0.0 + z`` turns a ``-0.0`` draw into ``+0.0``.
@@ -142,28 +161,39 @@ def partition_non_iid(data: Dataset, spec: PartitionSpec):
     a uniformly chosen class, so the expected dominant fraction is
     ``phi + (1 - phi) / n_classes``.
     """
-    need = spec.n_clients * spec.per_client_size
-    if len(data) < need:
-        raise DomainError(f"need at least {need} samples, got {len(data)}")
+    return _partition(data.x, data.y, data.n_classes, spec)
+
+
+def _partition(x, y, n_classes, spec: PartitionSpec):
+    """``partition_non_iid`` of the rows ``x`` labeled ``y``; each part is a ``Dataset``.
+
+    Each class's row indices are shuffled once into its own stretch of one
+    array; a draw from class c counts down its stretch, taking the last index
+    not yet taken.
+    """
+    spec.check_pool_size(len(y))
     rng = np.random.default_rng(spec.seed)
-    pools = []
-    for c in range(data.n_classes):
-        idx = np.flatnonzero(data.y == c)
-        pools.append(list(idx[rng.permutation(idx.size)]))
+    rows = [np.flatnonzero(y == c) for c in range(n_classes)]
+    shuffled = np.concatenate([idx[rng.permutation(idx.size)] for idx in rows])
+    ends = np.cumsum([idx.size for idx in rows]).tolist()
+    starts = [0] + ends[:-1]
+    del rows
     phi = spec.non_iid_degree
     parts = []
     for client in range(spec.n_clients):
-        dominant = client % data.n_classes
-        chosen = []
+        dominant = client % n_classes
+        taken = []
         for _ in range(spec.per_client_size):
             if phi > 0.0 and rng.random() < phi:
                 c = dominant
             else:
-                c = int(rng.integers(data.n_classes))
-            if not pools[c]:
+                c = int(rng.integers(n_classes))
+            if ends[c] == starts[c]:
                 raise DomainError(f"class {c} exhausted while partitioning")
-            chosen.append(pools[c].pop())
-        parts.append(data.subset(np.array(chosen, dtype=np.int64)))
+            ends[c] -= 1
+            taken.append(ends[c])
+        chosen = shuffled[taken]
+        parts.append(Dataset(x[chosen], y[chosen], n_classes))
     return parts
 
 

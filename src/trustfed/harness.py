@@ -21,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import defense, ledger, nn
-from .clients import PROJECTING_ATTACKS, Attack, AttackParams, ClientProfile, check_delta, local_round
-from .data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, load_csv, partition_non_iid, triggered_testset
+from .clients import (PROJECTING_ATTACKS, Attack, AttackParams, ClientProfile, calibrated_delta, check_delta,
+                      local_round)
+from .data import (Dataset, PartitionSpec, PoisonSpec, _gen_arrays, _partition, check_generator_shape,
+                   gen_dataset, load_csv, partition_non_iid, triggered_testset)
 from .errors import ConfigError, DegenerateAggregationError, DomainError, NumericalError
 from .seeds import derive_seed
 
@@ -261,6 +263,11 @@ def _load_csv_data(cfg: SimConfig, partition: PartitionSpec):
     return tuple(partition_non_iid(full.subset(order[n_test:]), partition)), test
 
 
+def _pool_size(pool_factor, n_clients, per_client_size) -> int:
+    """Rows of the synthetic pool the client partitions are cut from."""
+    return int(math.ceil(pool_factor * n_clients * per_client_size))
+
+
 @functools.lru_cache(maxsize=4)
 def _synthetic_data(master, n_clients, non_iid_degree, per_client_size, pool_factor,
                     n_classes, n_features, data_separation, test_size):
@@ -268,14 +275,16 @@ def _synthetic_data(master, n_clients, non_iid_degree, per_client_size, pool_fac
 
     Returns ``(parts, test)``: a tuple of per-client ``Dataset``s and the test
     ``Dataset``, all immutable, so runs in one process (an attack sweep at
-    one seed) share them.  The pool the partitions are cut from is not kept.
+    one seed) share them.  The partitions are cut from the generator's own
+    arrays, which are neither frozen nor kept; each partition is frozen and
+    validated as a ``Dataset``.  Bit for bit ``partition_non_iid`` of
+    ``gen_dataset``'s pool.
     """
-    pool_size = int(math.ceil(pool_factor * n_clients * per_client_size))
-    pool = gen_dataset(pool_size, n_classes, n_features,
-                       derive_seed(master, "trainpool"), data_separation)
+    pool_x, pool_y = _gen_arrays(_pool_size(pool_factor, n_clients, per_client_size), n_classes,
+                                 n_features, derive_seed(master, "trainpool"), data_separation)
     test = gen_dataset(test_size, n_classes, n_features,
                        derive_seed(master, "test"), data_separation)
-    parts = partition_non_iid(pool, PartitionSpec(
+    parts = _partition(pool_x, pool_y, n_classes, PartitionSpec(
         n_clients, non_iid_degree, per_client_size, derive_seed(master, "partition")))
     return tuple(parts), test
 
@@ -318,7 +327,8 @@ def _verifier_population(cfg: SimConfig, attackers):
 
 
 def _measure_pgd_delta(cfg: SimConfig, train_cfg, profiles, global_model) -> float:
-    """0.8 times the median benign update norm on a throwaway warm-up round."""
+    """The pgd radius, ``clients.calibrated_delta`` of the benign update norms on a
+    throwaway warm-up round."""
     norms = []
     base = nn.flatten(global_model)
     for profile in profiles:
@@ -327,7 +337,7 @@ def _measure_pgd_delta(cfg: SimConfig, train_cfg, profiles, global_model) -> flo
         warm_cfg = replace(train_cfg, seed=derive_seed(cfg.seed, "warmup", profile.client_id))
         trained = nn.sgd_train(global_model, profile.data.x, profile.data.y, warm_cfg)
         norms.append(float(np.linalg.norm(nn.flatten(trained) - base)))
-    return 0.8 * float(np.median(norms))
+    return calibrated_delta(norms)
 
 
 def _warm_start_size(cfg: SimConfig) -> int:
@@ -353,9 +363,9 @@ def _warm_start(master, n_features, hidden_width, n_classes, warm_start_size,
     model = nn.init_mlp(n_features, hidden_width, n_classes, derive_seed(master, "init"))
     if warm_start_size == 0:
         return model
-    warm = gen_dataset(warm_start_size, n_classes, n_features,
+    x, y = _gen_arrays(warm_start_size, n_classes, n_features,
                        derive_seed(master, "warm_start"), data_separation)
-    return nn.sgd_train(model, warm.x, warm.y, _warm_train_config(master, warm_start_epochs))
+    return nn.sgd_train(model, x, y, _warm_train_config(master, warm_start_epochs))
 
 
 def run(cfg: SimConfig) -> RunResult:
@@ -379,6 +389,11 @@ def _run(cfg: SimConfig) -> RunResult:
     if cfg.data_csv is not None:
         parts, test = _load_csv_data(cfg, partition)
     else:
+        # _synthetic_data's pool, test set and partition rules, asked of their owners before any data
+        pool_size = _pool_size(cfg.pool_factor, cfg.n_clients, cfg.per_client_size)
+        for n in (pool_size, cfg.test_size):
+            check_generator_shape(n, cfg.n_classes, cfg.n_features)
+        partition.check_pool_size(pool_size)
         parts, test = _synthetic_data(cfg.seed, cfg.n_clients, cfg.non_iid_degree,
                                       cfg.per_client_size, cfg.pool_factor, cfg.n_classes,
                                       cfg.n_features, cfg.data_separation, cfg.test_size)

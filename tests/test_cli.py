@@ -401,6 +401,29 @@ class TestConfigEdgeCases:
         assert capsys.readouterr().err == "configuration error: verifier count must be positive\n"
         assert not out.exists()
 
+    # The generator's shape rule (data.check_generator_shape) and the
+    # partitioner's pool size rule (PartitionSpec.check_pool_size) are asked
+    # for the pool and the test set before any data is built, with the
+    # messages the data set-up gives.  validate still admits each config.
+    @pytest.mark.parametrize("overrides, message", [
+        ({"test_size": 0}, "n, n_classes and n_features must be positive"),
+        ({"n_features": 3, "n_classes": 5, "trigger_coords": "0,1"},
+         "need n_features >= n_classes to place cluster means"),
+        ({"pool_factor": 0.5}, "need at least 8000 samples, got 4000"),
+    ], ids=["test_size", "n_features", "pool_factor"])
+    def test_data_shape_is_checked_before_any_data(self, tmp_path, capsys, monkeypatch, overrides, message):
+        cfg = desk_config(tmp_path, **overrides)
+        SimConfig.from_file(cfg).validate()
+
+        def no_data(*args):
+            raise AssertionError("the data set-up ran")
+
+        monkeypatch.setattr(harness, "_synthetic_data", no_data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     # With one class every test sample is of the target class, so backdoor
     # accuracy has nothing to trigger: run refuses it with eval_ba's message,
     # where it builds the triggered test set and before the warm start.
@@ -432,8 +455,9 @@ class TestConfigEdgeCases:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "csv_out"),
                          "--data", str(data_path)]) == 0
 
-    # These pass validate and are refused only inside run: n_verifiers before
-    # any data, the rest by an owner that needs the built data or model.
+    # These pass validate and are refused only inside run: n_verifiers,
+    # n_features and test_size before any data, hidden_width and queue_size by
+    # an owner that needs the built model or the initial global model.
     @pytest.mark.parametrize("overrides", [
         {"n_verifiers": 0},
         {"hidden_width": 0},

@@ -194,6 +194,77 @@ class TestPartition:
             assert (pa.x == pb.x).all() and (pa.y == pb.y).all()
 
 
+def reference_partition_non_iid(data_set, spec):
+    """partition_non_iid as first written: each class's shuffled rows kept as a
+    list of numpy scalars and popped from its end."""
+    need = spec.n_clients * spec.per_client_size
+    if len(data_set) < need:
+        raise DomainError(f"need at least {need} samples, got {len(data_set)}")
+    rng = np.random.default_rng(spec.seed)
+    pools = []
+    for c in range(data_set.n_classes):
+        idx = np.flatnonzero(data_set.y == c)
+        pools.append(list(idx[rng.permutation(idx.size)]))
+    parts = []
+    for client in range(spec.n_clients):
+        chosen = []
+        for _ in range(spec.per_client_size):
+            if spec.non_iid_degree > 0.0 and rng.random() < spec.non_iid_degree:
+                c = client % data_set.n_classes
+            else:
+                c = int(rng.integers(data_set.n_classes))
+            if not pools[c]:
+                raise DomainError(f"class {c} exhausted while partitioning")
+            chosen.append(pools[c].pop())
+        parts.append(data_set.subset(np.array(chosen, dtype=np.int64)))
+    return parts
+
+
+class TestPartitionMatchesReference:
+    # Tight pools, so that most cases run a class dry part way through, each
+    # at its own draw; the last two fill every client.
+    @pytest.mark.parametrize("n, n_classes, n_clients, per_client, phi, seed, exhausted", [
+        (60, 3, 4, 15, 1.0, 1, 0),
+        (60, 3, 4, 15, 0.0, 3, 0),
+        (120, 3, 6, 20, 0.4, 0, 2),
+        (120, 3, 6, 20, 0.4, 2, 1),
+        (101, 4, 5, 20, 0.9, 6, 0),
+        (120, 3, 6, 20, 0.4, 9, None),
+        (300, 5, 6, 40, 0.3, 7, None),
+    ])
+    def test_same_parts_or_the_same_failing_draw(self, per_sample_draws, n, n_classes, n_clients,
+                                                 per_client, phi, seed, exhausted):
+        ds = data.gen_dataset(n, n_classes, n_classes + 1, seed)
+        spec = data.PartitionSpec(n_clients, phi, per_client, seed + 100)
+
+        def raw(_, spec):   # the generator's own arrays, as harness._synthetic_data cuts them
+            x, y = data._gen_arrays(n, n_classes, n_classes + 1, seed, data.DEFAULT_SEPARATION)
+            return data._partition(x, y, n_classes, spec)
+
+        outcomes = []
+        for partition in (reference_partition_non_iid, data.partition_non_iid, raw):
+            start = per_sample_draws[0]
+            try:
+                parts = partition(ds, spec)
+            except DomainError as exc:
+                outcomes.append((str(exc), per_sample_draws[0] - start))
+            else:
+                outcomes.append([(p.x.tobytes(), p.y.tobytes(), p.n_classes) for p in parts])
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        if exhausted is None:
+            assert len(outcomes[0]) == n_clients
+        else:
+            assert outcomes[0][0] == f"class {exhausted} exhausted while partitioning"
+
+    def test_pool_size_rule_is_the_partitioners(self):
+        spec = data.PartitionSpec(3, 0.0, 50, seed=0)
+        spec.check_pool_size(150)
+        with pytest.raises(DomainError, match="need at least 150 samples, got 149"):
+            spec.check_pool_size(149)
+        with pytest.raises(DomainError, match="need at least 150 samples, got 149"):
+            data.partition_non_iid(data.gen_dataset(149, 2, 3, seed=0), spec)
+
+
 class TestPoison:
     def spec(self, pdr, edge_case=False):
         return data.PoisonSpec(target_class=0, trigger_coords=(1, 2),

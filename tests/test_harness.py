@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trustfed
 from trustfed import defense, harness, hashing, ledger, nn
-from trustfed.clients import Attack
-from trustfed.data import Dataset, PartitionSpec, gen_dataset, partition_non_iid
+from trustfed.clients import Attack, ClientProfile
+from trustfed.data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, partition_non_iid
 from trustfed.errors import ConfigError, DegenerateAggregationError, DomainError
 from trustfed.harness import (
     SimConfig,
@@ -436,6 +438,112 @@ class TestSyntheticDataMemo:
         reference = run(SimConfig(data_csv=str(other), **shape))
         assert model_digest(second.final_model) == model_digest(reference.final_model)
         assert model_digest(second.final_model) != model_digest(first.final_model)
+
+
+class TestSyntheticDataPath:
+    # _synthetic_data cuts its partitions from the generator's own arrays, not
+    # from a frozen pool Dataset; what it returns is the public path's, bit for bit.
+    # seed, n_clients, non_iid_degree, per_client_size, pool_factor, n_classes,
+    # n_features, data_separation, test_size
+    @pytest.mark.parametrize("args", [
+        (6, 40, 0.5, 200, 1.6, 5, 20, 5.0, 1000),
+        (6, 200, 0.5, 200, 1.6, 5, 20, 5.0, 1000),
+        (11, 9, 1.0, 17, 2.3, 3, 4, -2.0, 7),
+    ], ids=["desk", "federation", "phi_one"])
+    def test_equals_the_public_path(self, args):
+        seed, n_clients, phi, per_client, pool_factor, n_classes, n_features, separation, test_size = args
+        parts, test = harness._synthetic_data.__wrapped__(*args)
+        pool = gen_dataset(int(math.ceil(pool_factor * n_clients * per_client)), n_classes, n_features,
+                           derive_seed(seed, "trainpool"), separation)
+        want = partition_non_iid(pool, PartitionSpec(n_clients, phi, per_client,
+                                                     derive_seed(seed, "partition")))
+        want_test = gen_dataset(test_size, n_classes, n_features, derive_seed(seed, "test"), separation)
+        assert _data_digest(parts, test) == _data_digest(want, want_test)
+
+    # A pool that passes the size rule can still run a class dry on some draw.
+    def test_exhaustion_fires_on_the_same_draw(self, per_sample_draws):
+        args = (5, 12, 0.4, 20, 1.0, 3, 4, 5.0, 10)
+        seed, n_clients, phi, per_client, pool_factor, n_classes, n_features, separation, _ = args
+
+        def public():
+            pool = gen_dataset(n_clients * per_client, n_classes, n_features,
+                               derive_seed(seed, "trainpool"), separation)
+            partition_non_iid(pool, PartitionSpec(n_clients, phi, per_client, derive_seed(seed, "partition")))
+
+        outcomes = []
+        for path in (lambda: harness._synthetic_data.__wrapped__(*args), public):
+            start = per_sample_draws[0]
+            with pytest.raises(DomainError, match="exhausted while partitioning") as info:
+                path()
+            outcomes.append((str(info.value), per_sample_draws[0] - start))
+        assert outcomes[0] == outcomes[1] and outcomes[0][1] > 0
+
+
+class TestPgdDeltaMedian:
+    # The calibration's median must be np.median's to the bit: numpy averages a
+    # middle pair as (a + b) / 2, the sum rounded once, then halved exactly; an
+    # odd count takes the middle value.  The norms are planted through a
+    # stand-in np.linalg.norm, one per benign client; client 0 is an attacker.
+    @staticmethod
+    def calibrate(monkeypatch, norms):
+        model = nn.init_mlp(2, 2, 2, seed=0)
+        ds = Dataset(np.zeros((2, 2)), [0, 1], 2)
+        attacker = ClientProfile(0, ds, "blackbox", PoisonSpec(target_class=0))
+        profiles = [attacker] + [ClientProfile(cid, ds) for cid in range(1, len(norms) + 1)]
+        planted = iter(norms)
+        monkeypatch.setattr(nn, "sgd_train", lambda model, x, y, cfg: model)
+        monkeypatch.setattr(np.linalg, "norm", lambda v: next(planted))
+        return harness._measure_pgd_delta(SimConfig(seed=3), nn.TrainConfig(0.01, 1, 2), profiles, model)
+
+    @pytest.mark.parametrize("norms", [
+        [0.7],
+        [2.5, 0.1],
+        [3.0, 1.0, 2.0],
+        [1.0, 1.0, 2.0, 2.0],
+        [0.2, 0.1, 0.2, 0.3],
+        [5.0, 5.0, 5.0, 5.0, 5.0],
+        [0.1 + 0.2, 0.3, 0.7, 0.1],
+        [1.0, 1.0 + 2.0**-52],
+        [1e-320, 3e-320],
+        [1e154, 3e154, 2e154, 7e153],
+    ])
+    def test_equals_numpys_median(self, monkeypatch, norms):
+        want = 0.8 * float(np.median(norms))
+        assert self.calibrate(monkeypatch, norms).hex() == want.hex()
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.one_of(st.sampled_from([0.25, 1.0 / 3.0, 0.1, 7.5]),
+                              st.floats(0.0, 1e154, allow_subnormal=True)), min_size=1, max_size=41))
+    def test_equals_numpys_median_on_drawn_norms(self, norms):
+        want = 0.8 * float(np.median(norms))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert self.calibrate(monkeypatch, norms).hex() == want.hex()
+
+
+class TestRunImports:
+    # np.median imports all of numpy.ma on first use (about 1.3 MB resident);
+    # nothing on a run's path needs it, so a fresh interpreter never loads it.
+    # The first case shows that np.median still does.
+    @pytest.mark.parametrize("call, loads", [
+        ("np.median([1.0, 2.0])", True),
+        ("harness.run(harness.SimConfig(attack='pgd', attacker_ratio=0.25, **FAST))", False),
+        ("assert cli.main(['run', '--config', CONFIG, '--out', OUT]) == 0", False),
+    ], ids=["np_median", "pgd_calibration", "desk_config"])
+    def test_numpy_ma_is_not_imported(self, tmp_path, call, loads):
+        config = tmp_path / "desk.cfg"
+        config.write_text(DESK_CFG.read_text().replace("rounds = 100", "rounds = 5"))
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from trustfed import cli, harness\n"
+            f"FAST, CONFIG, OUT = {FAST!r}, {str(config)!r}, {str(tmp_path / 'out')!r}\n"
+            f"{call}\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(trustfed.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.splitlines()[-1] == str(loads)
 
 
 class TestEmit:

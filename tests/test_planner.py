@@ -204,14 +204,23 @@ def _reference_tail_sum(m, v, trials, seed):
     return total, float(np.sqrt(var))
 
 
+def assert_clipped_draws(m, subset_size, trials, make_rng, limit, full):
+    """``_mc_subsets`` at ``limit`` gives the reference draws ``full`` clipped to
+    ``limit + 1``.  Uncapped, it is first run capped at the reference's last
+    draw: a trial that a coverage bug never covers then reads that draw plus
+    one and fails here, where uncapped it would loop forever."""
+    caps = [int(full.max()), None] if limit is None else [limit]
+    for cap in caps:
+        got = planner._mc_subsets(m, subset_size, trials, make_rng(), limit=cap)
+        assert np.array_equal(got, full if cap is None else np.minimum(full, cap + 1)), cap
+
+
 class TestSubsetSizeOracle:
     # 5000 trials span three blocks of keys.
     @pytest.mark.parametrize("limit", [None, 1, 4, 9, 1000])
     def test_capped_draws_are_the_reference_draws_clipped(self, limit):
         full = _reference_subsets(9, 3, 5000, np.random.default_rng(11))
-        capped = planner._mc_subsets(9, 3, 5000, np.random.default_rng(11), limit=limit)
-        expected = full if limit is None else np.minimum(full, limit + 1)
-        assert np.array_equal(capped, expected)
+        assert_clipped_draws(9, 3, 5000, lambda: np.random.default_rng(11), limit, full)
 
     # (12, 3) and (6, 2) include sizes l with l * v < m, which never cover;
     # (20, 20) runs the single-item path.
@@ -255,9 +264,7 @@ class TestTiedKeys:
     def test_ties_across_the_cut_keep_argpartition_picks(self, limit):
         assert _straddles_cut(9, 3, 5000, 12, levels=4)
         full = _reference_subsets(9, 3, 5000, CoarseKeys(12, levels=4))
-        got = planner._mc_subsets(9, 3, 5000, CoarseKeys(12, levels=4), limit=limit)
-        expected = full if limit is None else np.minimum(full, limit + 1)
-        assert np.array_equal(got, expected)
+        assert_clipped_draws(9, 3, 5000, lambda: CoarseKeys(12, levels=4), limit, full)
 
     # Key levels scale with m, so ties across the cut are common yet every
     # client still gets picked often: with a few levels shared by many keys,
@@ -272,9 +279,7 @@ class TestTiedKeys:
         subset_size = data.draw(st.integers(2, m - 1), label="subset_size")
         levels = None if levels_per_client is None else levels_per_client * m
         full = _reference_subsets(m, subset_size, trials, CoarseKeys(seed, levels))
-        got = planner._mc_subsets(m, subset_size, trials, CoarseKeys(seed, levels), limit=limit)
-        expected = full if limit is None else np.minimum(full, limit + 1)
-        assert np.array_equal(got, expected)
+        assert_clipped_draws(m, subset_size, trials, lambda: CoarseKeys(seed, levels), limit, full)
 
 
 def reference_mc_subsets(m, subset_size, trials, rng, limit=None):
