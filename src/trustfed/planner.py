@@ -24,13 +24,13 @@ own picks.  The speed comes from numpy's SIMD sort: with its AVX2/AVX-512
 dispatch switched off, sorting is slower than argpartition at m = 30, though
 the reports stay the same.
 
-Each trial's coverage is a row of 64-bit words, one bit per client.  A
-block's picks are compared into one reused bool buffer, 64 columns per word
-with the columns past m set, and packed in place, 8 flags to a byte, by one
-multiply and shift per 8 clients.  At m = 30, 20000 trials and V = 15, a
-task's traced peak is 1.87 MiB against 2.63 MiB for a bool per client, and
-``trustfed plan --M 30`` with ``--L 7`` and ``--V 15`` peaks 41.4 MB resident
-against 43.8 MB (2-vCPU x86 VM, numpy 2.4.6).
+Each trial's coverage is a row of bytes, one bit per client: client j is
+bit j % 8 of byte j // 8.  A block's picks are compared into one reused bool
+buffer, 8 columns per byte, whose columns past m are set once per call, and
+``np.packbits`` packs it into the rows' bytes.  At m = 30, 20000 trials and
+V = 15, a task's traced peak is 1.66 MiB against 2.63 MiB for a bool per
+client, and ``trustfed plan --M 30`` with ``--L 7`` and ``--V 15`` peaks
+41.1 MB resident against 43.8 MB (2-vCPU x86 VM, numpy 2.4.6).
 
 ``coverage_report`` compares the closed forms with the oracle and flags any
 disagreement beyond three standard errors instead of hiding it; in
@@ -154,21 +154,19 @@ def _mc_subsets(m: int, subset_size: int, trials: int, rng, limit: int = None) -
     # tied across the cut takes argpartition's picks; it picks row by row, so
     # they are the ones it made on the whole block.  ``ranked[:, l]`` needs
     # l < m, which every caller ensures.
-    # Coverage is kept as 64-bit words, bit j of byte k of a row's words
-    # standing for client 8k + j; the clients past m pad the last word with
-    # ones, so a trial is covered when all its words are all ones.
+    # Coverage rows are packed bytes (see the module docstring); the flag
+    # columns past m are never written, so a covered trial's bytes are 0xFF.
     l = subset_size
-    words = -(-m // 64)
+    width = -(-m // 8)
     draws = np.full(trials, 0 if limit is None else limit + 1, dtype=np.int64)
-    covered = np.zeros((trials, words), dtype=np.uint64)
+    covered = np.zeros((trials, width), dtype=np.uint8)
     active = np.arange(trials)
     keys = np.empty((min(trials, _KEY_ROWS), m))
     sorted_keys = np.empty_like(keys)
-    flags = np.empty((len(keys), 64 * words), dtype=bool)
+    flags = np.ones((len(keys), 8 * width), dtype=bool)
     step = 0
     while active.size and (limit is None or step < limit):
         step += 1
-        covered_bytes = covered.view(np.uint8)
         for lo in range(0, active.size, _KEY_ROWS):
             block = keys[:min(_KEY_ROWS, active.size - lo)]
             rng.random(out=block)
@@ -176,21 +174,15 @@ def _mc_subsets(m: int, subset_size: int, trials: int, rng, limit: int = None) -
             np.copyto(ranked, block)
             ranked.sort(axis=1)
             picked = flags[:len(block)]
-            picked[:, m:] = True   # the padding; packing overwrites it
             np.less_equal(block, ranked[:, l - 1:l], out=picked[:, :m])
             tied = np.flatnonzero(ranked[:, l - 1] == ranked[:, l])
             if tied.size:
                 picked[tied, :m] = False
                 picks = np.argpartition(block[tied], l - 1, axis=1)[:, :l]
                 picked[tied[:, None], picks] = True
-            # Each 8 flags, read as a little-endian word, times this constant
-            # gather into its top byte, flag j at bit j: pack them in place
-            # into the word's low byte.
-            packed = picked.view("<u8")
-            packed *= 0x0102040810204080
-            packed >>= 56
-            covered_bytes[lo:lo + len(block)] |= picked.view(np.uint8)[:, ::8]
-        done = (covered == np.iinfo(np.uint64).max).all(axis=1)
+            packed = np.packbits(picked, bitorder="little")
+            covered[lo:lo + len(block)] |= packed.reshape(len(block), width)
+        done = (covered == 0xFF).all(axis=1)
         if done.any():
             draws[active[done]] = step
             keep = ~done
@@ -214,6 +206,8 @@ def _draws(m: int, subset_size: int, trials: int, seed: int, limit: int = None) 
 def mc_coverage(m: int, subset_size: int, trials: int, seed: int) -> CoverageEstimate:
     """Simulate drawing uniform subsets until the m-set is covered."""
     _check_subset_size(m, subset_size, trials=trials)
+    if seed < 0:
+        raise DomainError("seed must be a nonnegative integer")
     return CoverageEstimate(m, subset_size, _draws(m, subset_size, trials, seed))
 
 

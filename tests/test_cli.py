@@ -505,3 +505,11 @@ class TestPlanCommand:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         assert cli.main(["plan", "--M", "30", "--V", "0"]) == cli.EXIT_CONFIG
         assert cli.main(["plan", "--M", "30", "--V", "15", "--trials", "0"]) == cli.EXIT_CONFIG
+
+    def test_plan_rejects_negative_seed_for_verifier_count(self, capsys):
+        assert cli.main(["plan", "--M", "10", "--L", "4", "--seed", "-1"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: seed must be a nonnegative integer"]
+
+    def test_plan_subset_size_accepts_negative_seed(self):
+        assert cli.main(["plan", "--M", "10", "--V", "4", "--seed", "-1", "--trials", "200"]) == 0

@@ -318,7 +318,7 @@ def reference_mc_subsets(m, subset_size, trials, rng, limit=None):
 
 
 class TestPackedCoverage:
-    # m on both sides of a byte's 8 clients and a word's 64; one row, one full
+    # m on both sides of one and of several coverage bytes; one row, one full
     # block of keys, and two blocks plus three rows; uniform keys and keys
     # that tie across the cut.
     @pytest.mark.parametrize("m", [2, 8, 9, 30, 63, 64, 65, 129])
@@ -337,9 +337,23 @@ class TestPackedCoverage:
             got = planner._mc_subsets(m, subset_size, trials, CoarseKeys(5, levels), limit=limit)
             assert np.array_equal(got, want), limit
 
+    # m at 3, 4 and 5 past a multiple of 8, in one coverage byte and in two.
+    @pytest.mark.parametrize("m", [3, 4, 5, 11, 12, 13])
+    @pytest.mark.parametrize("trials", [1, 2 * planner._KEY_ROWS + 3])
+    @pytest.mark.parametrize("levels_per_client", [None, 4])
+    def test_draws_equal_the_bool_matrix_form_in_part_bytes(self, m, trials, levels_per_client):
+        subset_size = max(2, m // 3)
+        levels = None if levels_per_client is None else levels_per_client * m
+        full = reference_mc_subsets(m, subset_size, trials, CoarseKeys(9, levels))
+        # Capped first, as above, so a trial never covered fails instead of hanging.
+        limit = int(full.max())
+        capped = planner._mc_subsets(m, subset_size, trials, CoarseKeys(9, levels), limit=limit)
+        assert np.array_equal(capped, full)
+        assert np.array_equal(planner._mc_subsets(m, subset_size, trials, CoarseKeys(9, levels)), full)
+
     # One task of `trustfed plan --M 30 --V 15` at its default 20000 trials
-    # peaks at about 1.87 MiB of traced allocations with packed coverage
-    # words, against 2.63 MiB for the bool-matrix form above.
+    # peaks at about 1.66 MiB of traced allocations with packed coverage
+    # bytes, against 2.63 MiB for the bool-matrix form above.
     def test_traced_peak_of_one_task(self):
         planner._p_miss(30, 7, 15, 10, 0)   # numpy.random imports on first use
         tracemalloc.start()
@@ -349,6 +363,17 @@ class TestPackedCoverage:
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * 2**20
+
+    # Coverage in bytes, not 64-bit words, keeps that task under 1.75 MiB.
+    def test_traced_peak_of_one_task_stays_below_word_coverage(self):
+        planner._p_miss(30, 7, 15, 10, 0)   # numpy.random imports on first use
+        tracemalloc.start()
+        try:
+            planner._p_miss(30, 7, 15, 20000, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 2**20
 
 
 # Every numeric field of coverage_report, as float.hex, for both planning
