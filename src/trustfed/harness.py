@@ -24,7 +24,7 @@ from . import defense, ledger, nn
 from .clients import (PROJECTING_ATTACKS, Attack, AttackParams, ClientProfile, calibrated_delta, check_delta,
                       local_round)
 from .data import (Dataset, PartitionSpec, PoisonSpec, _gen_arrays, _partition, check_generator_shape,
-                   gen_dataset, load_csv, partition_non_iid, triggered_testset)
+                   gen_dataset, load_csv, triggered_testset)
 from .errors import ConfigError, DegenerateAggregationError, DomainError, NumericalError
 from .seeds import derive_seed
 
@@ -127,9 +127,7 @@ class SimConfig:
         return self
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["trigger_coords"] = list(self.trigger_coords)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_file(cls, path) -> "SimConfig":
@@ -259,8 +257,8 @@ def _load_csv_data(cfg: SimConfig, partition: PartitionSpec):
     rng = np.random.default_rng(derive_seed(cfg.seed, "csv_split"))
     order = rng.permutation(len(full))
     n_test = max(1, int(round(_TEST_FRACTION * len(full))))
-    test = full.subset(order[:n_test])
-    return tuple(partition_non_iid(full.subset(order[n_test:]), partition)), test
+    train = order[n_test:]
+    return tuple(_partition(full.x[train], full.y[train], full.n_classes, partition)), full.subset(order[:n_test])
 
 
 def _pool_size(pool_factor, n_clients, per_client_size) -> int:
@@ -384,16 +382,18 @@ def run(cfg: SimConfig) -> RunResult:
 def _run(cfg: SimConfig) -> RunResult:
     cfg.validate()
     poison_spec, train_cfg, partition = _specs(cfg)
+    ledger.check_queue_capacity(cfg.queue_size)   # the contract's rules, asked before any data
     if cfg.defense_enabled:
-        ledger.check_verifier_count(cfg.n_verifiers)   # the contract's rule, asked before any data
+        ledger.check_verifier_count(cfg.n_verifiers)
     if cfg.data_csv is not None:
         parts, test = _load_csv_data(cfg, partition)
     else:
-        # _synthetic_data's pool, test set and partition rules, asked of their owners before any data
+        # _synthetic_data's pool, test set and partition rules and the model's shape, asked before any data
         pool_size = _pool_size(cfg.pool_factor, cfg.n_clients, cfg.per_client_size)
         for n in (pool_size, cfg.test_size):
             check_generator_shape(n, cfg.n_classes, cfg.n_features)
         partition.check_pool_size(pool_size)
+        nn.check_mlp_shape(cfg.n_features, cfg.hidden_width, cfg.n_classes)
         parts, test = _synthetic_data(cfg.seed, cfg.n_clients, cfg.non_iid_degree,
                                       cfg.per_client_size, cfg.pool_factor, cfg.n_classes,
                                       cfg.n_features, cfg.data_separation, cfg.test_size)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .clients import Submission
 from .errors import (
     DegenerateAggregationError,
     DomainError,
@@ -39,6 +38,7 @@ __all__ = [
     "OffchainStore",
     "TrustLedger",
     "ContractState",
+    "check_queue_capacity",
     "submit",
     "aggregate",
     "select_verification_set",
@@ -143,12 +143,17 @@ class TrustLedger:
         return {cid: self.trust(cid) for cid in self._sums}
 
 
+def check_queue_capacity(n: int):
+    """``DomainError`` unless the aggregation queue holds at least one submission."""
+    if n < 1:
+        raise DomainError("queue capacity must be positive")
+
+
 class ContractState:
     """Aggregation queue, current verification set, and the event log."""
 
     def __init__(self, queue_capacity: int, global_model_digest: str):
-        if queue_capacity < 1:
-            raise DomainError("queue capacity must be positive")
+        check_queue_capacity(queue_capacity)
         self.queue_capacity = queue_capacity
         self.queue = []
         self.global_model_digest = global_model_digest
@@ -160,8 +165,8 @@ class ContractState:
         self.events.append(Event(self.round_counter, kind, client_id, digest))
 
 
-def submit(state: ContractState, store: OffchainStore, sub: Submission):
-    """Queue a submission after checking its stored bytes against the digest."""
+def submit(state: ContractState, store: OffchainStore, sub):
+    """Queue a ``clients.Submission`` after checking its stored bytes against the digest."""
     if len(state.queue) >= state.queue_capacity:
         raise DomainError("aggregation queue is full; aggregate before submitting")
     store.fetch(sub.model_digest)

@@ -10,10 +10,10 @@ randomness comes from explicit seeds, so identical inputs give bit-identical
 outputs.  Each model's parameters are one float64 vector in an immutable
 ``bytes`` buffer numpy will not make writable, and its layers are views into
 that vector, so each model flattens, serializes and hashes itself once and
-keeps all three.  Internally built models (``_from_flat``) freeze and scan
-their vector once; the public ``Layer`` and ``ModelParams`` constructors check
-every array they are given.  ``_batch`` reads every entry point's batch and
-labels, and ``data.Dataset`` shares its label rule, ``_labels``.
+keeps all three.  Every model built here comes from ``_from_flat``, which
+freezes and scans its vector once; the public ``Layer`` and ``ModelParams``
+constructors check every array an outside caller gives them.  ``_batch`` reads
+every entry point's batch and labels; ``data.Dataset`` shares ``_labels``.
 """
 
 from dataclasses import dataclass
@@ -37,6 +37,7 @@ __all__ = [
     "gradients",
     "sgd_train",
     "check_gradient_rate",
+    "check_mlp_shape",
     "extract_ultimate_gradient",
     "by_class_gradient",
     "lincomb",
@@ -127,7 +128,7 @@ class ModelParams:
         """The serialization ``to_bytes`` returns (format described there)."""
         dims = [d for shape in _shapes(self) for d in shape]
         header = struct.pack(f"<{1 + len(dims)}I", len(self.layers), *dims)
-        return header + flatten(self).astype("<f8", copy=False).tobytes()
+        return b"".join((header, flatten(self).astype("<f8", copy=False)))
 
     @cached_property
     def digest(self) -> str:
@@ -169,17 +170,21 @@ class UltimateGradient:
         object.__setattr__(self, "db", _frozen(self.db))
 
 
-def init_mlp(n_features: int, hidden_width: int, n_classes: int, seed: int) -> ModelParams:
-    """Two-layer perceptron (features -> hidden ReLU -> classes), He-scaled init."""
+def check_mlp_shape(n_features: int, hidden_width: int, n_classes: int):
+    """``DomainError`` unless every dimension of ``init_mlp``'s perceptron is positive."""
     if min(n_features, hidden_width, n_classes) < 1:
         raise DomainError("all dimensions must be positive")
+
+
+def init_mlp(n_features: int, hidden_width: int, n_classes: int, seed: int) -> ModelParams:
+    """Two-layer perceptron (features -> hidden ReLU -> classes), He-scaled init."""
+    check_mlp_shape(n_features, hidden_width, n_classes)
     rng = np.random.default_rng(seed)
-    dims = [(hidden_width, n_features), (n_classes, hidden_width)]
-    layers = []
-    for out_dim, in_dim in dims:
-        w = rng.standard_normal((out_dim, in_dim)) * np.sqrt(2.0 / in_dim)
-        layers.append(Layer(w, np.zeros(out_dim)))
-    return ModelParams(tuple(layers))
+    shapes = [(hidden_width, n_features), (n_classes, hidden_width)]
+    parts = []
+    for out_dim, in_dim in shapes:
+        parts += [rng.standard_normal(out_dim * in_dim) * np.sqrt(2.0 / in_dim), np.zeros(out_dim)]
+    return _from_flat(np.concatenate(parts), shapes)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -343,8 +348,8 @@ def sgd_train(model: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
     through those views and a step is two calls on the whole vector,
     ``grads *= lr`` then ``params -= grads``, which rounds exactly as
     ``w -= lr * g`` does per layer.  The batch and its labels are checked once
-    and the result is validated as a new ``ModelParams``, whose layers reject
-    non-finite parameters.
+    and the result comes from ``_from_flat``, which scans the trained vector
+    once for non-finite parameters.
     """
     x, onehot = _batch(model, x, y)
     rng = np.random.default_rng(cfg.seed)

@@ -3,8 +3,9 @@
 ``expected_L`` and ``expected_V`` evaluate inclusion-exclusion sums over
 binomial coefficients.  The alternating terms cancel almost completely, and
 past roughly fifty clients the individual binomials no longer fit in a double
-at all, so both sums are accumulated exactly over the integers and divided
-once at the end.
+at all, so the alternating sums are accumulated exactly over the integers;
+``expected_L`` adds one correctly rounded quotient per subset size in floating
+point, and ``expected_V`` converts its exact total once at the end.
 
 ``mc_coverage`` is the independent check: it repeatedly draws uniform
 fixed-size subsets until the whole client set is covered and reports the
@@ -85,7 +86,7 @@ def expected_L(m: int, v: int) -> float:
         num = 0
         for s in range(1, m + 1):
             num += (-1) ** (s + 1) * comb(m, s) * comb(m - s, l) ** v
-        total += float(Fraction(num, denom))
+        total += num / denom
     return total
 
 

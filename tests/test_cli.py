@@ -424,6 +424,28 @@ class TestConfigEdgeCases:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
+    # nn.check_mlp_shape (init_mlp's rule, on synthetic data, whose config fixes
+    # every dimension) and ledger.check_queue_capacity (ContractState's) are
+    # asked before any data, with their owners' messages.
+    @pytest.mark.parametrize("overrides, message", [
+        ({"hidden_width": 0}, "all dimensions must be positive"),
+        ({"queue_size": 0, "verify_set_size": 0, "verify_subset_size": 0, "defense_enabled": "off"},
+         "queue capacity must be positive"),
+    ], ids=["hidden_width", "queue_size"])
+    def test_model_and_queue_are_checked_before_any_data(self, tmp_path, capsys, monkeypatch, overrides,
+                                                          message):
+        cfg = desk_config(tmp_path, **overrides)
+        SimConfig.from_file(cfg).validate()
+
+        def no_data(*args):
+            raise AssertionError("the data set-up ran")
+
+        monkeypatch.setattr(harness, "_synthetic_data", no_data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     # With one class every test sample is of the target class, so backdoor
     # accuracy has nothing to trigger: run refuses it with eval_ba's message,
     # where it builds the triggered test set and before the warm start.
@@ -455,9 +477,9 @@ class TestConfigEdgeCases:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "csv_out"),
                          "--data", str(data_path)]) == 0
 
-    # These pass validate and are refused only inside run: n_verifiers,
-    # n_features and test_size before any data, hidden_width and queue_size by
-    # an owner that needs the built model or the initial global model.
+    # These pass validate and are refused only inside run, each before any
+    # data, by its owner's data-free rule: n_verifiers, hidden_width,
+    # queue_size, n_features and test_size.
     @pytest.mark.parametrize("overrides", [
         {"n_verifiers": 0},
         {"hidden_width": 0},

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import trustfed
 from trustfed import defense, harness, hashing, ledger, nn
 from trustfed.clients import Attack, ClientProfile
-from trustfed.data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, partition_non_iid
+from trustfed.data import Dataset, PartitionSpec, PoisonSpec, gen_dataset, load_csv, partition_non_iid
 from trustfed.errors import ConfigError, DegenerateAggregationError, DomainError
 from trustfed.harness import (
     SimConfig,
@@ -477,6 +477,24 @@ class TestSyntheticDataPath:
                 path()
             outcomes.append((str(info.value), per_sample_draws[0] - start))
         assert outcomes[0] == outcomes[1] and outcomes[0][1] > 0
+
+
+class TestCsvDataPath:
+    # _load_csv_data cuts its partitions from the loaded rows, not from a
+    # Dataset of the training rows; what it returns is the public path's.
+    @pytest.mark.parametrize("phi, seed", [(0.5, 1), (1.0, 4), (0.0, 9)])
+    def test_equals_the_public_path(self, tmp_path, phi, seed):
+        ds = gen_dataset(500, 4, 6, seed=seed)
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.column_stack([ds.x, ds.y]), delimiter=",")
+        cfg = SimConfig(data_csv=str(path), seed=seed, n_clients=5, per_client_size=40, non_iid_degree=phi)
+        spec = PartitionSpec(5, phi, 40, derive_seed(seed, "partition"))
+        parts, test = harness._load_csv_data(cfg, spec)
+        full = load_csv(path)
+        order = np.random.default_rng(derive_seed(seed, "csv_split")).permutation(len(full))
+        n_test = 100   # the held-out fifth of 500 rows
+        want = partition_non_iid(full.subset(order[n_test:]), spec)
+        assert _data_digest(parts, test) == _data_digest(want, full.subset(order[:n_test]))
 
 
 class TestPgdDeltaMedian:

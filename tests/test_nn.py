@@ -580,6 +580,16 @@ class TestOneVector:
             assert np.shares_memory(layer.weights, flat) and np.shares_memory(layer.bias, flat)
             assert buffer_of(layer.weights) is buffer_of(layer.bias) is buffer_of(flat)
 
+    def test_init_mlp_is_one_vector_of_the_public_build(self):
+        model = nn.init_mlp(4, 5, 3, 45)
+        flat = nn.flatten(model)
+        for layer in model.layers:
+            assert buffer_of(layer.weights) is buffer_of(layer.bias) is buffer_of(flat)
+        rng = np.random.default_rng(45)
+        public = nn.ModelParams((nn.Layer(rng.standard_normal((5, 4)) * np.sqrt(2.0 / 4), np.zeros(5)),
+                                 nn.Layer(rng.standard_normal((3, 5)) * np.sqrt(2.0 / 5), np.zeros(3))))
+        assert nn.to_bytes(model) == nn.to_bytes(public)
+
     def test_gradient_layers_share_one_frozen_vector(self):
         rng = np.random.default_rng(43)
         model = random_model(rng, [4, 5, 3])

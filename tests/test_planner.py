@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,21 @@ class TestExpectedL:
         for m in (5, 12, 30):
             values = [planner.expected_L(m, v) for v in range(1, 12)]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_terms_are_the_exact_quotients_rounded(self):
+        # Each term is one integer quotient, which Python rounds correctly, so
+        # it equals the exact fraction converted once.
+        def reference(m, v):
+            total = 0.0
+            for l in range(1, m + 1):
+                num = sum((-1) ** (s + 1) * math.comb(m, s) * math.comb(m - s, l) ** v
+                          for s in range(1, m + 1))
+                total += float(Fraction(num, math.comb(m, l) ** v))
+            return total
+
+        for m in range(1, 41):
+            for v in range(1, 13):
+                assert planner.expected_L(m, v).hex() == reference(m, v).hex(), (m, v)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
