@@ -10,8 +10,9 @@ the package's syntax tree that never ran.  Docstrings and the bodies of
 code, the second runs only as a script.  A simple statement ran when any of
 its lines did; a compound one when its header did (decorators up to the line
 before its body), and a ``try`` also when its body's first statement did.
-Exits 1 if the list is not empty, whatever pytest's own verdict; the JUnit
-check judges the tests.
+Exits 1 if the list is not empty or pytest's exit code is other than 0 or 1
+(an interrupted run, a usage or internal error, no tests collected); code 1,
+"some tests failed", is left to the JUnit check, which judges the tests.
 """
 
 import ast
@@ -108,7 +109,7 @@ def main(argv) -> int:
     print(f"{len(missed)} statement(s) of {PACKAGE.relative_to(ROOT)} never ran")
     for line in missed:
         print(line)
-    return 1 if missed else 0
+    return 1 if missed or verdict not in (0, 1) else 0
 
 
 if __name__ == "__main__":
