@@ -10,6 +10,7 @@ uniformly chosen class.  ``phi = 0`` is IID, ``phi = 1`` is single-class.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,15 +266,19 @@ def triggered_testset(data: Dataset, spec: PoisonSpec) -> Dataset:
 def load_csv(path, n_classes: int = None) -> Dataset:
     """Read samples from CSV rows of ``d`` feature columns plus an integer label.
 
-    A header row, a non-numeric cell or a ragged row raises ``DomainError``,
-    and so does ``Dataset`` for a label that is not an exact integer in range.
-    With ``n_classes`` unset, so does a class count inferred above the row count.
+    A file with no data rows, a header row, a non-numeric cell or a ragged row
+    raises ``DomainError``, and so does ``Dataset`` for a label that is not an
+    exact integer in range.  With ``n_classes`` unset, so does a class count
+    inferred above the row count.
     """
     try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # numpy warns "input contained no data" and returns an empty array.
+            warnings.simplefilter("error", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (ValueError, UserWarning) as exc:
         raise DomainError(f"malformed CSV {path}: {exc}") from exc
-    if raw.size == 0 or raw.shape[1] < 2:
+    if raw.shape[1] < 2:
         raise DomainError("CSV needs at least one feature column and a label column")
     x = raw[:, :-1]
     y = raw[:, -1]

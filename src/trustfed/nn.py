@@ -92,6 +92,8 @@ class ModelParams:
         object.__setattr__(self, "layers", layers)
         if not layers:
             raise ShapeError("model needs at least one layer")
+        if any(0 in layer.weights.shape for layer in layers):
+            raise ShapeError("every layer needs at least one input and one output")
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.in_dim != prev.out_dim:
                 raise ShapeError(

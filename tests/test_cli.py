@@ -1,7 +1,10 @@
 import concurrent.futures
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +165,23 @@ class TestMalformedCsv:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error: malformed CSV" in err and "Traceback" not in err
+
+    # numpy warns before it returns no rows; under -W error that warning
+    # must not escape as a traceback (exit 1).
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_no_rows_exits_with_config_error_under_warnings_as_errors(self, tmp_path, text):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(text)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(self.CFG)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "trustfed.cli", "run", "--config", str(cfg),
+             "--out", str(tmp_path / "o"), "--data", str(data_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == cli.EXIT_CONFIG
+        assert out.stderr.startswith("configuration error: malformed CSV")
+        assert out.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("label", ["2.9999999", "-0.9999999", "inf", "1e20"])
     def test_inexact_label_exits_with_config_error(self, tmp_path, capsys, label):

@@ -422,6 +422,17 @@ class TestSerialization:
         with pytest.raises(ShapeError):
             nn.from_bytes(header + payload)
 
+    # A layer with no inputs or no outputs would make a model of 0 features or
+    # 0 classes, which forward_batch cannot run.
+    @pytest.mark.parametrize("build", [
+        lambda: nn.from_bytes(struct.pack("<3I", 1, 0, 3)),
+        lambda: nn.ModelParams((nn.Layer(np.zeros((0, 3)), np.zeros(0)),)),
+        lambda: nn.ModelParams((nn.Layer(np.zeros((3, 0)), np.zeros(3)),)),
+    ], ids=["blob-0x3", "layer-0x3", "layer-3x0"])
+    def test_zero_width_layer_rejected(self, build):
+        with pytest.raises(ShapeError, match="at least one input and one output"):
+            build()
+
     @pytest.mark.parametrize("blob", [b"", b"\x01\x00"], ids=["empty", "short-count"])
     def test_blob_without_a_header_rejected(self, blob):
         with pytest.raises(ShapeError):

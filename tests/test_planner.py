@@ -108,6 +108,18 @@ class TestExpectedV:
         with pytest.raises(DomainError):
             planner.expected_V(4, 5)
 
+    def test_equals_the_exact_fraction_rounded_once(self):
+        # The sum over s of C(m, s) / (C(m, l) - C(m - s, l)), signed, times
+        # C(m, l), as an exact fraction converted to float once.
+        def reference(m, l):
+            c = math.comb(m, l)
+            return float(c * sum(Fraction((-1) ** (s + 1) * math.comb(m, s),
+                                          c - math.comb(m - s, l)) for s in range(1, m + 1)))
+
+        for m in range(1, 61):
+            for l in range(1, m + 1):
+                assert planner.expected_V(m, l).hex() == reference(m, l).hex(), (m, l)
+
 
 class TestMcCoverage:
     def test_full_subset_always_one_draw(self):

@@ -1,6 +1,8 @@
 """The package runs on numpy and the standard library alone (ROADMAP)."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +28,22 @@ def test_imports_only_numpy_and_the_standard_library(path):
 
 def test_function_level_imports_are_seen():
     assert "concurrent" in {root for _, root in import_roots(PACKAGE / "planner.py")}
+
+
+def test_a_run_and_both_plans_import_no_exact_arithmetic(tmp_path):
+    # pytest's own process has imported fractions already (hypothesis uses
+    # it), so the check runs in a fresh interpreter.
+    script = (
+        "import sys\n"
+        "from trustfed import harness, planner\n"
+        "res = harness.run(harness.SimConfig(attack='pgd', attacker_ratio=0.25, rounds=2,\n"
+        "    n_clients=12, queue_size=4, verify_set_size=4, n_verifiers=3, verify_subset_size=3,\n"
+        "    per_client_size=60, test_size=200, warm_start_size=400, warm_start_epochs=20))\n"
+        f"harness.emit(res, {str(tmp_path / 'out')!r})\n"
+        "planner.coverage_report(6, v=3, trials=50)\n"
+        "planner.coverage_report(6, subset_size=2, trials=50)\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.splitlines()[-1] == "[]"
