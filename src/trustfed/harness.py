@@ -134,7 +134,7 @@ class SimConfig:
         """Parse a flat ``key = value`` file (# starts a comment); ``validate`` checks the values."""
         known = {f.name: f for f in fields(cls)}
         values = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8", errors="replace").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

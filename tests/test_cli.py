@@ -122,6 +122,21 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (b"\xff\xfe\x00rounds = 2\n", "unknown key '\ufffd\ufffd\\x00rounds'"),
+        (FAST_CFG.replace("attack = blackbox", "attack = blackbo\xff").encode("latin-1"),
+         "unknown attack 'blackbo\ufffd'"),
+    ], ids=["key", "value"])
+    def test_config_not_in_utf8_exits_with_config_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes(text)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_out_path_held_by_a_file_exits_with_io_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(FAST_CFG)
