@@ -11,11 +11,12 @@ one correctly rounded quotient per subset size in floating point, and
 fixed-size subsets until the whole client set is covered and reports the
 empirical draw-count distribution.  Planning the subset size for v verifiers
 needs only the probability that v draws cover, for every subset size, so
-those simulations stop after v draws and run on a thread pool, one task per
-subset size with its own derived seed, summed in order of size.  Each
-draw's keys come in fixed blocks of rows; that is the same random stream as
-drawing them at once, and the first v draws are the same either way, so the
-report is bit-identical to summing over full ``mc_coverage`` runs.
+those simulations stop after v draws, one per subset size with its own
+derived seed, run on the calling thread and one helper thread per further
+CPU, and are summed in order of size.  Each draw's keys come in blocks of
+1,024 rows; that is the same random stream as drawing them at once, and the
+first v draws are the same either way, so the report is bit-identical to
+summing over full ``mc_coverage`` runs.
 
 A draw of size l picks the l smallest of a row's m uniform keys.  Each block
 is sorted row by row and every row picks its keys at or below its l-th
@@ -39,7 +40,6 @@ of the sum), and the report says so rather than papering over it.
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb
 
 import numpy as np
@@ -132,7 +132,7 @@ class CoverageEstimate:
         return float(np.sqrt(p * (1.0 - p) / self.trials))
 
 
-_KEY_ROWS = 2048   # rows of random keys drawn per block in _mc_subsets
+_KEY_ROWS = 1024   # rows of random keys drawn per block in _mc_subsets
 
 
 def _mc_single_item(m: int, trials: int, rng) -> np.ndarray:
@@ -227,19 +227,41 @@ def mc_mean_covering_subset_size(m: int, v: int, trials: int, seed: int):
     Uses the tail-sum identity: the mean equals one plus, for every subset
     size l >= 1, the probability that v draws of size l miss someone.  Each
     term is estimated from an independent simulation with its own derived
-    seed, so the terms run on a thread pool as wide as the machine and are
-    summed in order of l.
+    seed, so the calling thread and one helper thread per further CPU take
+    subset sizes from one shared iterator and store each term in its size's
+    slot; the terms are summed in order of l.  Once every helper has joined,
+    the first error any thread caught is raised here.
 
     Returns (estimate, standard error).
     """
     _check_positive(m=m, v=v, trials=trials)
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
 
-    sizes = range(1, m)
-    seeds = [derive_seed(seed, "size", l) for l in sizes]
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=workers or 1) as pool:
-        p_misses = list(pool.map(_p_miss, repeat(m), sizes, repeat(v), repeat(trials), seeds))
+    sizes = iter(range(1, m))
+    lock = threading.Lock()
+    p_misses = [None] * (m - 1)
+    errors = []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    l = next(sizes, None)
+                if l is None:
+                    return
+                p_misses[l - 1] = _p_miss(m, l, v, trials, derive_seed(seed, "size", l))
+        except Exception as exc:
+            errors.append(exc)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    helpers = [threading.Thread(target=work) for _ in range((cpus or 1) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     total = 1.0
     var = 0.0
     for p_miss in p_misses:

@@ -1,10 +1,10 @@
-import concurrent.futures
 import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -556,10 +556,10 @@ class TestPlanCommand:
         assert cli.main(["plan", "--M", "4", "--L", "9"]) == cli.EXIT_CONFIG
 
     def test_plan_rejects_bad_counts_before_simulating(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool started")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread started")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         assert cli.main(["plan", "--M", "30", "--V", "0"]) == cli.EXIT_CONFIG
         assert cli.main(["plan", "--M", "30", "--V", "15", "--trials", "0"]) == cli.EXIT_CONFIG
 

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -244,7 +246,7 @@ def assert_clipped_draws(m, subset_size, trials, make_rng, limit, full):
 
 
 class TestSubsetSizeOracle:
-    # 5000 trials span three blocks of keys.
+    # 5000 trials span five blocks of keys.
     @pytest.mark.parametrize("limit", [None, 1, 4, 9, 1000])
     def test_capped_draws_are_the_reference_draws_clipped(self, limit):
         full = _reference_subsets(9, 3, 5000, np.random.default_rng(11))
@@ -256,6 +258,31 @@ class TestSubsetSizeOracle:
     def test_equals_reference_sum_over_mc_coverage(self, m, v):
         got = planner.mc_mean_covering_subset_size(m, v, 3000, seed=7)
         assert got == _reference_tail_sum(m, v, 3000, 7)
+
+    def test_error_in_any_size_is_raised_after_every_thread_stops(self, monkeypatch):
+        real = planner._p_miss
+
+        def fail_at_nine(m, subset_size, *args):
+            if subset_size == 9:
+                raise ValueError("size 9")
+            return real(m, subset_size, *args)
+
+        monkeypatch.setattr(planner, "_p_miss", fail_at_nine)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="size 9"):
+            planner.mc_mean_covering_subset_size(30, 15, 100, 0)
+        assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        two = planner.mc_mean_covering_subset_size(30, 15, 300, 3)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert planner.mc_mean_covering_subset_size(30, 15, 300, 3) == two
 
 
 class CoarseKeys:
@@ -287,7 +314,7 @@ def _straddles_cut(m, subset_size, trials, seed, levels):
 
 class TestTiedKeys:
     # Keys in steps of 1/4 tie across the cut in most rows; those rows must
-    # still get exactly argpartition's picks.  5000 trials span three blocks.
+    # still get exactly argpartition's picks.  5000 trials span five blocks.
     @pytest.mark.parametrize("limit", [None, 1, 4, 1000])
     def test_ties_across_the_cut_keep_argpartition_picks(self, limit):
         assert _straddles_cut(9, 3, 5000, 12, levels=4)
@@ -346,11 +373,11 @@ def reference_mc_subsets(m, subset_size, trials, rng, limit=None):
 
 
 class TestPackedCoverage:
-    # m on both sides of one and of several coverage bytes; one row, one full
-    # block of keys, and two blocks plus three rows; uniform keys and keys
-    # that tie across the cut.
+    # m on both sides of one and of several coverage bytes; one row, two full
+    # blocks of keys, and four blocks plus three rows (the trial counts, 2048
+    # and 4099, name the cases); uniform keys and keys that tie across the cut.
     @pytest.mark.parametrize("m", [2, 8, 9, 30, 63, 64, 65, 129])
-    @pytest.mark.parametrize("trials", [1, planner._KEY_ROWS, 2 * planner._KEY_ROWS + 3])
+    @pytest.mark.parametrize("trials", [1, 2 * planner._KEY_ROWS, 4 * planner._KEY_ROWS + 3])
     @pytest.mark.parametrize("levels_per_client", [None, 4])
     def test_draws_equal_the_bool_matrix_form(self, m, trials, levels_per_client):
         subset_size = max(1, m // 3)
@@ -367,7 +394,7 @@ class TestPackedCoverage:
 
     # m at 3, 4 and 5 past a multiple of 8, in one coverage byte and in two.
     @pytest.mark.parametrize("m", [3, 4, 5, 11, 12, 13])
-    @pytest.mark.parametrize("trials", [1, 2 * planner._KEY_ROWS + 3])
+    @pytest.mark.parametrize("trials", [1, 4 * planner._KEY_ROWS + 3])
     @pytest.mark.parametrize("levels_per_client", [None, 4])
     def test_draws_equal_the_bool_matrix_form_in_part_bytes(self, m, trials, levels_per_client):
         subset_size = max(2, m // 3)
@@ -380,8 +407,8 @@ class TestPackedCoverage:
         assert np.array_equal(planner._mc_subsets(m, subset_size, trials, CoarseKeys(9, levels)), full)
 
     # One task of `trustfed plan --M 30 --V 15` at its default 20000 trials
-    # peaks at about 1.66 MiB of traced allocations with packed coverage
-    # bytes, against 2.63 MiB for the bool-matrix form above.
+    # peaks at about 1.16 MiB of traced allocations with packed coverage
+    # bytes, against 2.13 MiB for the bool-matrix form above.
     def test_traced_peak_of_one_task(self):
         planner._p_miss(30, 7, 15, 10, 0)   # numpy.random imports on first use
         tracemalloc.start()

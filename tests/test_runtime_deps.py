@@ -27,7 +27,7 @@ def test_imports_only_numpy_and_the_standard_library(path):
 
 
 def test_function_level_imports_are_seen():
-    assert "concurrent" in {root for _, root in import_roots(PACKAGE / "planner.py")}
+    assert "threading" in {root for _, root in import_roots(PACKAGE / "planner.py")}
 
 
 def test_a_run_and_both_plans_import_no_exact_arithmetic(tmp_path):
@@ -43,6 +43,20 @@ def test_a_run_and_both_plans_import_no_exact_arithmetic(tmp_path):
         "planner.coverage_report(6, v=3, trials=50)\n"
         "planner.coverage_report(6, subset_size=2, trials=50)\n"
         "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_a_plan_imports_no_executor_or_logging():
+    # pytest's own process has imported both already, so the check runs in a
+    # fresh interpreter.
+    script = (
+        "import sys\n"
+        "from trustfed import planner\n"
+        "planner.coverage_report(6, v=3, trials=50)\n"
+        "print(sorted({'concurrent', 'logging'} & set(sys.modules)))\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
