@@ -61,7 +61,7 @@ VALID_SCORES = (0.0, 0.5, 1.0)
 TRUST_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     round_index: int
     kind: str

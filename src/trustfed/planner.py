@@ -13,7 +13,9 @@ empirical draw-count distribution.  Planning the subset size for v verifiers
 needs only the probability that v draws cover, for every subset size, so
 those simulations stop after v draws, one per subset size with its own
 derived seed, run on the calling thread and one helper thread per further
-CPU, and are summed in order of size.  Each draw's keys come in blocks of
+CPU, and are summed in order of size.  Such a simulation keeps the packed
+coverage rows of the trials still uncovered and a count of the covered ones,
+with no per-trial draw count.  Each draw's keys come in blocks of
 1,024 rows; that is the same random stream as drawing them at once, and the
 first v draws are the same either way, so the report is bit-identical to
 summing over full ``mc_coverage`` runs.
@@ -40,6 +42,7 @@ of the sum), and the report says so rather than papering over it.
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -132,7 +135,7 @@ class CoverageEstimate:
         return float(np.sqrt(p * (1.0 - p) / self.trials))
 
 
-_KEY_ROWS = 1024   # rows of random keys drawn per block in _mc_subsets
+_KEY_ROWS = 1024   # rows of random keys drawn per block in _newly_covered
 
 
 def _mc_single_item(m: int, trials: int, rng) -> np.ndarray:
@@ -144,31 +147,26 @@ def _mc_single_item(m: int, trials: int, rng) -> np.ndarray:
     return draws
 
 
-def _mc_subsets(m: int, subset_size: int, trials: int, rng, limit: int = None) -> np.ndarray:
-    # With a ``limit``, trials still uncovered after that many draws stop
-    # there and report ``limit + 1``; the first ``limit`` draws are the same
-    # either way.  Only the coverage rows of uncovered trials are kept.  Each
-    # draw's keys come in blocks of rows through one reused buffer, the same
-    # row-major stream as drawing them all at once in far less memory.
-    # Picks are read off a sorted copy (see the module docstring).  A row
-    # tied across the cut takes argpartition's picks; it picks row by row, so
-    # they are the ones it made on the whole block.  ``ranked[:, l]`` needs
-    # l < m, which every caller ensures.
+def _newly_covered(m: int, subset_size: int, trials: int, rng):
+    # Draws until every trial is covered, yielding after each draw the mask
+    # of still-uncovered trials, in trial order, that the draw covered; only
+    # their coverage rows are kept.  Each draw's keys come in blocks of rows
+    # through one reused buffer, the same row-major stream as drawing them all
+    # at once in far less memory.  Picks are read off a sorted copy (see the
+    # module docstring).  A row tied across the cut takes argpartition's
+    # picks; it picks row by row, so they are the ones it made on the whole
+    # block.  ``ranked[:, l]`` needs l < m, which every caller ensures.
     # Coverage rows are packed bytes (see the module docstring); the flag
     # columns past m are never written, so a covered trial's bytes are 0xFF.
     l = subset_size
     width = -(-m // 8)
-    draws = np.full(trials, 0 if limit is None else limit + 1, dtype=np.int64)
     covered = np.zeros((trials, width), dtype=np.uint8)
-    active = np.arange(trials)
     keys = np.empty((min(trials, _KEY_ROWS), m))
     sorted_keys = np.empty_like(keys)
     flags = np.ones((len(keys), 8 * width), dtype=bool)
-    step = 0
-    while active.size and (limit is None or step < limit):
-        step += 1
-        for lo in range(0, active.size, _KEY_ROWS):
-            block = keys[:min(_KEY_ROWS, active.size - lo)]
+    while len(covered):
+        for lo in range(0, len(covered), _KEY_ROWS):
+            block = keys[:min(_KEY_ROWS, len(covered) - lo)]
             rng.random(out=block)
             ranked = sorted_keys[:len(block)]
             np.copyto(ranked, block)
@@ -183,24 +181,40 @@ def _mc_subsets(m: int, subset_size: int, trials: int, rng, limit: int = None) -
             packed = np.packbits(picked, bitorder="little")
             covered[lo:lo + len(block)] |= packed.reshape(len(block), width)
         done = (covered == 0xFF).all(axis=1)
+        yield done
+        if done.any():
+            covered = covered[~done]
+
+
+def _mc_subsets(m: int, subset_size: int, trials: int, rng, limit: int = None) -> np.ndarray:
+    # Each trial's draw count.  With a ``limit``, trials still uncovered
+    # after that many draws stop there and report ``limit + 1``; the first
+    # ``limit`` draws are the same either way.
+    draws = np.full(trials, 0 if limit is None else limit + 1, dtype=np.int64)
+    active = np.arange(trials)
+    for step, done in enumerate(islice(_newly_covered(m, subset_size, trials, rng), limit), 1):
         if done.any():
             draws[active[done]] = step
-            keep = ~done
-            active = active[keep]
-            covered = covered[keep]
+            active = active[~done]
     return draws
 
 
-def _draws(m: int, subset_size: int, trials: int, seed: int, limit: int = None) -> np.ndarray:
+def _draws(m: int, subset_size: int, trials: int, seed: int, within: int = None):
     # The one rule for which random stream a subset size draws from: size m
     # covers at once, size 1 sums geometrics, any other size sorts keys.
-    # ``limit`` caps only the sorted-key simulation (see ``_mc_subsets``).
+    # Returns each trial's draw count or, given ``within``, how many trials
+    # that many draws cover; sorted keys then stop drawing there and keep no
+    # per-trial count.
     if subset_size == m:
-        return np.ones(trials, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    if subset_size == 1:
-        return _mc_single_item(m, trials, rng)
-    return _mc_subsets(m, subset_size, trials, rng, limit)
+        draws = np.ones(trials, dtype=np.int64)
+    elif subset_size == 1:
+        draws = _mc_single_item(m, trials, np.random.default_rng(seed))
+    elif within is None:
+        return _mc_subsets(m, subset_size, trials, np.random.default_rng(seed))
+    else:
+        steps = _newly_covered(m, subset_size, trials, np.random.default_rng(seed))
+        return sum(int(np.count_nonzero(done)) for done in islice(steps, within))
+    return draws if within is None else int(np.count_nonzero(draws <= within))
 
 
 def mc_coverage(m: int, subset_size: int, trials: int, seed: int) -> CoverageEstimate:
@@ -213,12 +227,12 @@ def mc_coverage(m: int, subset_size: int, trials: int, seed: int) -> CoverageEst
 
 def _p_miss(m: int, subset_size: int, v: int, trials: int, seed: int) -> float:
     # Share of trials that v draws of this size leave uncovered; the same
-    # value as ``1 - mc_coverage(...).prob_covered(v)``, simulating no further
-    # than v draws.  Fewer than m picks in all can never cover the m-set.
+    # value as ``1 - mc_coverage(...).prob_covered(v)``, whose mean of a bool
+    # array is this exact count divided once, simulating no further than v
+    # draws.  Fewer than m picks in all can never cover the m-set.
     if subset_size * v < m:
         return 1.0
-    est = CoverageEstimate(m, subset_size, _draws(m, subset_size, trials, seed, limit=v))
-    return 1.0 - est.prob_covered(v)
+    return 1.0 - _draws(m, subset_size, trials, seed, within=v) / trials
 
 
 def mc_mean_covering_subset_size(m: int, v: int, trials: int, seed: int):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -377,6 +378,12 @@ class TestEvents:
             ledger.aggregate(state, unscored_ledger(2), store)
             return ledger.export_events(state)
         assert build() == build()
+
+    def test_event_has_no_instance_dict_and_stays_frozen(self):
+        event = ledger.Event(1, ledger.MODEL_SUBMITTED, 0, "ab")
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.kind = ledger.MODEL_SUBMITTED
 
 
 class TestContractProperties:

@@ -407,8 +407,9 @@ class TestPackedCoverage:
         assert np.array_equal(planner._mc_subsets(m, subset_size, trials, CoarseKeys(9, levels)), full)
 
     # One task of `trustfed plan --M 30 --V 15` at its default 20000 trials
-    # peaks at about 1.16 MiB of traced allocations with packed coverage
-    # bytes, against 2.13 MiB for the bool-matrix form above.
+    # peaks at about 0.85 MiB of traced allocations with packed coverage
+    # bytes and a count of covered trials, against 2.13 MiB for the
+    # bool-matrix form above.
     def test_traced_peak_of_one_task(self):
         planner._p_miss(30, 7, 15, 10, 0)   # numpy.random imports on first use
         tracemalloc.start()
@@ -429,6 +430,49 @@ class TestPackedCoverage:
         finally:
             tracemalloc.stop()
         assert peak < 1.75 * 2**20
+
+    # Counting covered trials, with no per-trial draw count or trial index,
+    # keeps that task under 0.95 MiB (1.16 MiB with both kept).
+    def test_traced_peak_of_one_task_keeps_no_per_trial_arrays(self):
+        planner._p_miss(30, 7, 15, 10, 0)   # numpy.random imports on first use
+        tracemalloc.start()
+        try:
+            planner._p_miss(30, 7, 15, 20000, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.95 * 2**20
+
+
+class TestPMiss:
+    # Sizes 1 (geometrics), 2, a middle size and m - 1 over two blocks of keys
+    # plus three rows; v = 1, a v too small to cover (l * v < m), the median
+    # draw count and a v above every trial's draw count.
+    @pytest.mark.parametrize("subset_size", [1, 2, 13, 29])
+    def test_equals_one_minus_prob_covered(self, subset_size):
+        m, trials, seed = 30, 2 * planner._KEY_ROWS + 3, 4
+        est = planner.mc_coverage(m, subset_size, trials, seed)
+        for v in sorted({1, (m - 1) // subset_size, int(np.median(est.draws)),
+                         int(est.draws.max()) + 1}):
+            got = planner._p_miss(m, subset_size, v, trials, seed)
+            assert got.hex() == (1.0 - est.prob_covered(v)).hex(), v
+
+
+# The benchmark's plan reports: `trustfed plan --M 30 --V 15` and `--M 30 --L 7`
+# at their default 20000 trials, as float.hex of (mc_estimate, mc_std_err,
+# gap_sigma).  The fixture below covers only 2500 trials.
+PAPER_SCALE_REPORTS = [
+    (dict(v=15), 0, ("0x1.e1bcd35a85879p+2", "0x1.ccaf3980dbc04p-8", "0x1.1d0be33cc72fdp+7")),
+    (dict(v=15), 6, ("0x1.e25a1cac08313p+2", "0x1.cc447a01deee9p-8", "0x1.2009db56a59afp+7")),
+    (dict(subset_size=7), 0, ("0x1.f87a786c22681p+3", "0x1.0e03f7f5729b5p-5", "0x1.8279288ce2d95p-2")),
+    (dict(subset_size=7), 6, ("0x1.f8374bc6a7efap+3", "0x1.0cb2839cb9dbap-5", "0x1.08bceac0442b8p-3")),
+]
+
+
+@pytest.mark.parametrize("target, seed, want", PAPER_SCALE_REPORTS)
+def test_paper_scale_report_is_pinned(target, seed, want):
+    report = planner.coverage_report(30, trials=20000, seed=seed, **target)
+    assert tuple(report[key].hex() for key in ("mc_estimate", "mc_std_err", "gap_sigma")) == want
 
 
 # Every numeric field of coverage_report, as float.hex, for both planning
