@@ -9,16 +9,17 @@ one correctly rounded quotient per subset size in floating point, and
 
 ``mc_coverage`` is the independent check: it repeatedly draws uniform
 fixed-size subsets until the whole client set is covered and reports the
-empirical draw-count distribution.  Planning the subset size for v verifiers
-needs only the probability that v draws cover, for every subset size, so
-those simulations stop after v draws, one per subset size with its own
-derived seed, run on the calling thread and one helper thread per further
-CPU, and are summed in order of size.  Such a simulation keeps the packed
-coverage rows of the trials still uncovered and a count of the covered ones,
-with no per-trial draw count.  Each draw's keys come in blocks of
-1,024 rows; that is the same random stream as drawing them at once, and the
-first v draws are the same either way, so the report is bit-identical to
-summing over full ``mc_coverage`` runs.
+empirical draw-count distribution, read off one stream that says after each
+draw which still-uncovered trials it covered.  Planning the subset size for v
+verifiers needs only the probability that v draws cover, for every subset
+size, so those simulations count the trials that the first v draws cover and
+stop there, one per subset size with its own derived seed, run on the calling
+thread and one helper thread per further CPU, and are summed in order of
+size.  Such a simulation keeps the packed coverage rows of the trials still
+uncovered and a count of the covered ones, with no per-trial draw count.
+Each draw's keys come in blocks of 1,024 rows; that is the same random stream
+as drawing them at once, and the first v draws are the same either way, so
+the report is bit-identical to summing over full ``mc_coverage`` runs.
 
 A draw of size l picks the l smallest of a row's m uniform keys.  Each block
 is sorted row by row and every row picks its keys at or below its l-th
@@ -138,15 +139,6 @@ class CoverageEstimate:
 _KEY_ROWS = 1024   # rows of random keys drawn per block in _newly_covered
 
 
-def _mc_single_item(m: int, trials: int, rng) -> np.ndarray:
-    # Single-item draws are the classic coupon collector: the waiting time is
-    # an exact sum of independent geometrics, no simulation loop needed.
-    draws = np.zeros(trials, dtype=np.int64)
-    for k in range(m):
-        draws += rng.geometric((m - k) / m, size=trials)
-    return draws
-
-
 def _newly_covered(m: int, subset_size: int, trials: int, rng):
     # Draws until every trial is covered, yielding after each draw the mask
     # of still-uncovered trials, in trial order, that the draw covered; only
@@ -186,35 +178,37 @@ def _newly_covered(m: int, subset_size: int, trials: int, rng):
             covered = covered[~done]
 
 
-def _mc_subsets(m: int, subset_size: int, trials: int, rng, limit: int = None) -> np.ndarray:
-    # Each trial's draw count.  With a ``limit``, trials still uncovered
-    # after that many draws stop there and report ``limit + 1``; the first
-    # ``limit`` draws are the same either way.
-    draws = np.full(trials, 0 if limit is None else limit + 1, dtype=np.int64)
+def _draws(m: int, subset_size: int, trials: int, seed: int):
+    # The one rule for which random stream a subset size draws from: size m
+    # covers at once, size 1 sums geometrics (the classic coupon collector:
+    # each trial's waiting time is an exact sum of independent geometrics),
+    # any other size sorts keys.  Yields, after each draw, the mask of
+    # still-uncovered trials, in trial order, that the draw covered.
+    rng = np.random.default_rng(seed)
+    if subset_size == m:
+        yield np.ones(trials, dtype=bool)
+    elif subset_size == 1:
+        waits = np.zeros(trials, dtype=np.int64)
+        for k in range(m):
+            waits += rng.geometric((m - k) / m, size=trials)
+        for step in range(1, int(waits.max()) + 1):
+            done = waits == step
+            yield done
+            waits = waits[~done]
+    else:
+        yield from _newly_covered(m, subset_size, trials, rng)
+
+
+def _draw_counts(masks, trials: int) -> np.ndarray:
+    # Each trial's draw count from a stream of newly covered masks: the
+    # number of the mask that covered it, 0 for a trial that none did.
+    draws = np.zeros(trials, dtype=np.int64)
     active = np.arange(trials)
-    for step, done in enumerate(islice(_newly_covered(m, subset_size, trials, rng), limit), 1):
+    for step, done in enumerate(masks, 1):
         if done.any():
             draws[active[done]] = step
             active = active[~done]
     return draws
-
-
-def _draws(m: int, subset_size: int, trials: int, seed: int, within: int = None):
-    # The one rule for which random stream a subset size draws from: size m
-    # covers at once, size 1 sums geometrics, any other size sorts keys.
-    # Returns each trial's draw count or, given ``within``, how many trials
-    # that many draws cover; sorted keys then stop drawing there and keep no
-    # per-trial count.
-    if subset_size == m:
-        draws = np.ones(trials, dtype=np.int64)
-    elif subset_size == 1:
-        draws = _mc_single_item(m, trials, np.random.default_rng(seed))
-    elif within is None:
-        return _mc_subsets(m, subset_size, trials, np.random.default_rng(seed))
-    else:
-        steps = _newly_covered(m, subset_size, trials, np.random.default_rng(seed))
-        return sum(int(np.count_nonzero(done)) for done in islice(steps, within))
-    return draws if within is None else int(np.count_nonzero(draws <= within))
 
 
 def mc_coverage(m: int, subset_size: int, trials: int, seed: int) -> CoverageEstimate:
@@ -222,7 +216,7 @@ def mc_coverage(m: int, subset_size: int, trials: int, seed: int) -> CoverageEst
     _check_subset_size(m, subset_size, trials=trials)
     if seed < 0:
         raise DomainError("seed must be a nonnegative integer")
-    return CoverageEstimate(m, subset_size, _draws(m, subset_size, trials, seed))
+    return CoverageEstimate(m, subset_size, _draw_counts(_draws(m, subset_size, trials, seed), trials))
 
 
 def _p_miss(m: int, subset_size: int, v: int, trials: int, seed: int) -> float:
@@ -232,7 +226,8 @@ def _p_miss(m: int, subset_size: int, v: int, trials: int, seed: int) -> float:
     # draws.  Fewer than m picks in all can never cover the m-set.
     if subset_size * v < m:
         return 1.0
-    return 1.0 - _draws(m, subset_size, trials, seed, within=v) / trials
+    steps = islice(_draws(m, subset_size, trials, seed), v)
+    return 1.0 - sum(int(np.count_nonzero(done)) for done in steps) / trials
 
 
 def mc_mean_covering_subset_size(m: int, v: int, trials: int, seed: int):

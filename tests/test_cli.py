@@ -28,6 +28,33 @@ def desk_config(tmp_path, **overrides):
     return path
 
 
+def assert_refused_before_any_data(cfg, message, tmp_path, capsys, monkeypatch):
+    """``trustfed run`` on ``cfg`` exits with the configuration error
+    ``message`` before any data is built and leaves no output directory."""
+    def no_data(*args):
+        raise AssertionError("the data set-up ran")
+
+    monkeypatch.setattr(harness, "_synthetic_data", no_data)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+# Configs that validate admits and run refuses before any data, by name: the
+# overrides and the owner's exact message.
+REFUSED_IN_RUN = {
+    "n_verifiers": ({"n_verifiers": 0}, "verifier count must be positive"),
+    "hidden_width": ({"hidden_width": 0}, "all dimensions must be positive"),
+    "queue_size": ({"queue_size": 0, "verify_set_size": 0, "verify_subset_size": 0, "defense_enabled": "off"},
+                   "queue capacity must be positive"),
+    "n_features": ({"n_features": 3, "n_classes": 5, "trigger_coords": "0,1"},
+                   "need n_features >= n_classes to place cluster means"),
+    "test_size": ({"test_size": 0}, "n, n_classes and n_features must be positive"),
+    "pool_factor": ({"pool_factor": 0.5}, "need at least 8000 samples, got 4000"),
+}
+
+
 FAST_CFG = """
 n_clients = 12
 queue_size = 4
@@ -323,15 +350,7 @@ class TestConfigEdgeCases:
         with pytest.raises(ConfigError, match=re.escape(message)) as info:
             SimConfig.from_file(cfg).validate()
         assert isinstance(info.value.__cause__, DomainError)
-
-        def no_data(*args):
-            raise AssertionError("the data set-up ran")
-
-        monkeypatch.setattr(harness, "_synthetic_data", no_data)
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
-        assert not out.exists()
+        assert_refused_before_any_data(cfg, message, tmp_path, capsys, monkeypatch)
 
     # from_file only parses; validate is the one type check, and its message is the CLI's.
     def test_from_file_parses_and_validate_refuses_the_type(self, tmp_path, capsys):
@@ -352,15 +371,7 @@ class TestConfigEdgeCases:
         with pytest.raises(ConfigError, match=re.escape(message)) as info:
             SimConfig.from_file(cfg).validate()
         assert isinstance(info.value.__cause__, DomainError)
-
-        def no_data(*args):
-            raise AssertionError("the data set-up ran")
-
-        monkeypatch.setattr(harness, "_synthetic_data", no_data)
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
-        assert not out.exists()
+        assert_refused_before_any_data(cfg, message, tmp_path, capsys, monkeypatch)
 
     # nn.check_gradient_rate owns the positive rate verifiers divide by; validate
     # asks it before any data is built, after TrainConfig refuses a negative rate.
@@ -370,15 +381,7 @@ class TestConfigEdgeCases:
         with pytest.raises(ConfigError, match=re.escape(message)) as info:
             SimConfig.from_file(cfg).validate()
         assert isinstance(info.value.__cause__, DomainError)
-
-        def no_data(*args):
-            raise AssertionError("the data set-up ran")
-
-        monkeypatch.setattr(harness, "_synthetic_data", no_data)
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
-        assert not out.exists()
+        assert_refused_before_any_data(cfg, message, tmp_path, capsys, monkeypatch)
 
     # pgd calibration trains the benign clients, and whether there are any is
     # a config fact: validate refuses a run without one before any data.
@@ -391,15 +394,7 @@ class TestConfigEdgeCases:
         with pytest.raises(ConfigError) as info:
             SimConfig.from_file(cfg).validate()
         assert str(info.value) == message
-
-        def no_data(*args):
-            raise AssertionError("the data set-up ran")
-
-        monkeypatch.setattr(harness, "_synthetic_data", no_data)
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
-        assert not out.exists()
+        assert_refused_before_any_data(cfg, message, tmp_path, capsys, monkeypatch)
 
     # clients.check_delta owns the projection radius that pgd_project needs;
     # validate asks it before any data, not in round 1's first attacker round.
@@ -411,75 +406,7 @@ class TestConfigEdgeCases:
         with pytest.raises(ConfigError) as info:
             SimConfig.from_file(cfg).validate()
         assert str(info.value) == message and isinstance(info.value.__cause__, DomainError)
-
-        def no_data(*args):
-            raise AssertionError("the data set-up ran")
-
-        monkeypatch.setattr(harness, "_synthetic_data", no_data)
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
-        assert not out.exists()
-
-    # ledger.check_verifier_count owns the rule select_verifiers applies in
-    # every round; a defended run asks it before any data is built.
-    def test_verifier_count_is_checked_before_any_data(self, tmp_path, capsys, monkeypatch):
-        cfg = desk_config(tmp_path, n_verifiers=0)
-        SimConfig.from_file(cfg).validate()
-
-        def no_data(*args):
-            raise AssertionError("the data set-up ran")
-
-        monkeypatch.setattr(harness, "_synthetic_data", no_data)
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == "configuration error: verifier count must be positive\n"
-        assert not out.exists()
-
-    # The generator's shape rule (data.check_generator_shape) and the
-    # partitioner's pool size rule (PartitionSpec.check_pool_size) are asked
-    # for the pool and the test set before any data is built, with the
-    # messages the data set-up gives.  validate still admits each config.
-    @pytest.mark.parametrize("overrides, message", [
-        ({"test_size": 0}, "n, n_classes and n_features must be positive"),
-        ({"n_features": 3, "n_classes": 5, "trigger_coords": "0,1"},
-         "need n_features >= n_classes to place cluster means"),
-        ({"pool_factor": 0.5}, "need at least 8000 samples, got 4000"),
-    ], ids=["test_size", "n_features", "pool_factor"])
-    def test_data_shape_is_checked_before_any_data(self, tmp_path, capsys, monkeypatch, overrides, message):
-        cfg = desk_config(tmp_path, **overrides)
-        SimConfig.from_file(cfg).validate()
-
-        def no_data(*args):
-            raise AssertionError("the data set-up ran")
-
-        monkeypatch.setattr(harness, "_synthetic_data", no_data)
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
-        assert not out.exists()
-
-    # nn.check_mlp_shape (init_mlp's rule, on synthetic data, whose config fixes
-    # every dimension) and ledger.check_queue_capacity (ContractState's) are
-    # asked before any data, with their owners' messages.
-    @pytest.mark.parametrize("overrides, message", [
-        ({"hidden_width": 0}, "all dimensions must be positive"),
-        ({"queue_size": 0, "verify_set_size": 0, "verify_subset_size": 0, "defense_enabled": "off"},
-         "queue capacity must be positive"),
-    ], ids=["hidden_width", "queue_size"])
-    def test_model_and_queue_are_checked_before_any_data(self, tmp_path, capsys, monkeypatch, overrides,
-                                                          message):
-        cfg = desk_config(tmp_path, **overrides)
-        SimConfig.from_file(cfg).validate()
-
-        def no_data(*args):
-            raise AssertionError("the data set-up ran")
-
-        monkeypatch.setattr(harness, "_synthetic_data", no_data)
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
-        assert not out.exists()
+        assert_refused_before_any_data(cfg, message, tmp_path, capsys, monkeypatch)
 
     # With one class every test sample is of the target class, so backdoor
     # accuracy has nothing to trigger: run refuses it with eval_ba's message,
@@ -512,24 +439,38 @@ class TestConfigEdgeCases:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "csv_out"),
                          "--data", str(data_path)]) == 0
 
-    # These pass validate and are refused only inside run, each before any
-    # data, by its owner's data-free rule: n_verifiers, hidden_width,
-    # queue_size, n_features and test_size.
-    @pytest.mark.parametrize("overrides", [
-        {"n_verifiers": 0},
-        {"hidden_width": 0},
-        {"queue_size": 0, "verify_set_size": 0, "verify_subset_size": 0, "defense_enabled": "off"},
-        {"n_features": 3, "n_classes": 5, "trigger_coords": "0,1"},
-        {"test_size": 0},
-    ], ids=["n_verifiers", "hidden_width", "queue_size", "n_features", "test_size"])
-    def test_refused_only_inside_run(self, tmp_path, capsys, overrides):
-        cfg = desk_config(tmp_path, **overrides)
-        SimConfig.from_file(cfg).validate()
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("configuration error:")
-        assert not out.exists()
+    # These pass validate and are refused only inside run, before any data,
+    # each by its owner's data-free rule; the three tests below check each
+    # refusal and its message.
+    @pytest.mark.parametrize("name", list(REFUSED_IN_RUN))
+    def test_refused_only_inside_run(self, tmp_path, name):
+        SimConfig.from_file(desk_config(tmp_path, **REFUSED_IN_RUN[name][0])).validate()
+
+    # ledger.check_verifier_count owns the rule select_verifiers applies in
+    # every round; a defended run asks it before any data is built.
+    def test_verifier_count_is_checked_before_any_data(self, tmp_path, capsys, monkeypatch):
+        overrides, message = REFUSED_IN_RUN["n_verifiers"]
+        assert_refused_before_any_data(desk_config(tmp_path, **overrides), message, tmp_path, capsys,
+                                       monkeypatch)
+
+    # The generator's shape rule (data.check_generator_shape) and the
+    # partitioner's pool size rule (PartitionSpec.check_pool_size) are asked
+    # for the pool and the test set before any data is built, with the
+    # messages the data set-up gives.
+    @pytest.mark.parametrize("name", ["test_size", "n_features", "pool_factor"])
+    def test_data_shape_is_checked_before_any_data(self, tmp_path, capsys, monkeypatch, name):
+        overrides, message = REFUSED_IN_RUN[name]
+        assert_refused_before_any_data(desk_config(tmp_path, **overrides), message, tmp_path, capsys,
+                                       monkeypatch)
+
+    # nn.check_mlp_shape (init_mlp's rule, on synthetic data, whose config fixes
+    # every dimension) and ledger.check_queue_capacity (ContractState's) are
+    # asked before any data, with their owners' messages.
+    @pytest.mark.parametrize("name", ["hidden_width", "queue_size"])
+    def test_model_and_queue_are_checked_before_any_data(self, tmp_path, capsys, monkeypatch, name):
+        overrides, message = REFUSED_IN_RUN[name]
+        assert_refused_before_any_data(desk_config(tmp_path, **overrides), message, tmp_path, capsys,
+                                       monkeypatch)
 
     def test_defense_off_parses_and_admits_single_client_subsets(self, tmp_path):
         cfg = SimConfig.from_file(desk_config(tmp_path, defense_enabled="off", verify_subset_size=1))

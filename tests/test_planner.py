@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +162,8 @@ class TestMcCoverage:
         # The geometric shortcut for single-item draws must match the generic
         # subset simulator distributionally.
         single = planner.mc_coverage(6, 1, trials=120000, seed=8)
-        generic = planner._mc_subsets(6, 1, 120000, np.random.default_rng(9))
+        generic = planner._draw_counts(
+            planner._newly_covered(6, 1, 120000, np.random.default_rng(9)), 120000)
         se = math.sqrt(single.std_err ** 2 + generic.std(ddof=1) ** 2 / generic.size)
         assert abs(single.mean - generic.mean()) <= 3.5 * se
 
@@ -235,14 +238,15 @@ def _reference_tail_sum(m, v, trials, seed):
 
 
 def assert_clipped_draws(m, subset_size, trials, make_rng, limit, full):
-    """``_mc_subsets`` at ``limit`` gives the reference draws ``full`` clipped to
-    ``limit + 1``.  Uncapped, it is first run capped at the reference's last
-    draw: a trial that a coverage bug never covers then reads that draw plus
-    one and fails here, where uncapped it would loop forever."""
+    """The first ``limit`` draws give the reference draws ``full`` where they
+    are at most ``limit``, and 0 elsewhere.  Uncapped, the stream is first read
+    up to the reference's last draw: a trial that a coverage bug never covers
+    then reads 0 and fails here, where uncapped it would loop forever."""
     caps = [int(full.max()), None] if limit is None else [limit]
     for cap in caps:
-        got = planner._mc_subsets(m, subset_size, trials, make_rng(), limit=cap)
-        assert np.array_equal(got, full if cap is None else np.minimum(full, cap + 1)), cap
+        steps = islice(planner._newly_covered(m, subset_size, trials, make_rng()), cap)
+        got = planner._draw_counts(steps, trials)
+        assert np.array_equal(got, full if cap is None else np.where(full <= cap, full, 0)), cap
 
 
 class TestSubsetSizeOracle:
@@ -337,18 +341,18 @@ class TestTiedKeys:
         assert_clipped_draws(m, subset_size, trials, lambda: CoarseKeys(seed, levels), limit, full)
 
 
-def reference_mc_subsets(m, subset_size, trials, rng, limit=None):
-    # planner._mc_subsets with one bool per client: the same key blocks, sort,
-    # cut and tie rule, OR-ing a fresh pick matrix per block into a
-    # (trials, m) coverage matrix.
+def reference_mc_subsets(m, subset_size, trials, rng):
+    # Each trial's draw count from planner._newly_covered with one bool per
+    # client: the same key blocks, sort, cut and tie rule, OR-ing a fresh pick
+    # matrix per block into a (trials, m) coverage matrix.
     l = subset_size
-    draws = np.full(trials, 0 if limit is None else limit + 1, dtype=np.int64)
+    draws = np.zeros(trials, dtype=np.int64)
     covered = np.zeros((trials, m), dtype=bool)
     active = np.arange(trials)
     keys = np.empty((min(trials, planner._KEY_ROWS), m))
     sorted_keys = np.empty_like(keys)
     step = 0
-    while active.size and (limit is None or step < limit):
+    while active.size:
         step += 1
         for lo in range(0, active.size, planner._KEY_ROWS):
             block = keys[:min(planner._KEY_ROWS, active.size - lo)]
@@ -372,6 +376,19 @@ def reference_mc_subsets(m, subset_size, trials, rng, limit=None):
     return draws
 
 
+@functools.cache
+def traced_peak_of_one_task():
+    """Traced peak bytes of ``_p_miss(30, 7, 15, 20000, 6)``, measured once for
+    the ``TestPackedCoverage`` bounds."""
+    planner._p_miss(30, 7, 15, 10, 0)   # numpy.random imports on first use
+    tracemalloc.start()
+    try:
+        planner._p_miss(30, 7, 15, 20000, 6)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPackedCoverage:
     # m on both sides of one and of several coverage bytes; one row, two full
     # blocks of keys, and four blocks plus three rows (the trial counts, 2048
@@ -383,14 +400,8 @@ class TestPackedCoverage:
         subset_size = max(1, m // 3)
         levels = None if levels_per_client is None else levels_per_client * m
         full = reference_mc_subsets(m, subset_size, trials, CoarseKeys(5, levels))
-        # Capped at the reference's last draw, a trial that is never covered
-        # reads v + 1 and fails here, where uncapped it would loop forever.
-        v = int(full.max())
-        for limit in (1, v, None):
-            want = full if limit is None else reference_mc_subsets(
-                m, subset_size, trials, CoarseKeys(5, levels), limit=limit)
-            got = planner._mc_subsets(m, subset_size, trials, CoarseKeys(5, levels), limit=limit)
-            assert np.array_equal(got, want), limit
+        for limit in (1, None):
+            assert_clipped_draws(m, subset_size, trials, lambda: CoarseKeys(5, levels), limit, full)
 
     # m at 3, 4 and 5 past a multiple of 8, in one coverage byte and in two.
     @pytest.mark.parametrize("m", [3, 4, 5, 11, 12, 13])
@@ -400,48 +411,24 @@ class TestPackedCoverage:
         subset_size = max(2, m // 3)
         levels = None if levels_per_client is None else levels_per_client * m
         full = reference_mc_subsets(m, subset_size, trials, CoarseKeys(9, levels))
-        # Capped first, as above, so a trial never covered fails instead of hanging.
-        limit = int(full.max())
-        capped = planner._mc_subsets(m, subset_size, trials, CoarseKeys(9, levels), limit=limit)
-        assert np.array_equal(capped, full)
-        assert np.array_equal(planner._mc_subsets(m, subset_size, trials, CoarseKeys(9, levels)), full)
+        assert_clipped_draws(m, subset_size, trials, lambda: CoarseKeys(9, levels), None, full)
 
     # One task of `trustfed plan --M 30 --V 15` at its default 20000 trials
     # peaks at about 0.85 MiB of traced allocations with packed coverage
     # bytes and a count of covered trials, against 2.13 MiB for the
     # bool-matrix form above.
     def test_traced_peak_of_one_task(self):
-        planner._p_miss(30, 7, 15, 10, 0)   # numpy.random imports on first use
-        tracemalloc.start()
-        try:
-            planner._p_miss(30, 7, 15, 20000, 6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.25 * 2**20
+        assert traced_peak_of_one_task() < 2.25 * 2**20
 
-    # Coverage in bytes, not 64-bit words, keeps that task under 1.75 MiB.
+    # Coverage in bytes, not 64-bit words (about 1.66 MiB), keeps that task
+    # under 1.75 MiB.
     def test_traced_peak_of_one_task_stays_below_word_coverage(self):
-        planner._p_miss(30, 7, 15, 10, 0)   # numpy.random imports on first use
-        tracemalloc.start()
-        try:
-            planner._p_miss(30, 7, 15, 20000, 6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.75 * 2**20
+        assert traced_peak_of_one_task() < 1.75 * 2**20
 
     # Counting covered trials, with no per-trial draw count or trial index,
     # keeps that task under 0.95 MiB (1.16 MiB with both kept).
     def test_traced_peak_of_one_task_keeps_no_per_trial_arrays(self):
-        planner._p_miss(30, 7, 15, 10, 0)   # numpy.random imports on first use
-        tracemalloc.start()
-        try:
-            planner._p_miss(30, 7, 15, 20000, 6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.95 * 2**20
+        assert traced_peak_of_one_task() < 0.95 * 2**20
 
 
 class TestPMiss:
@@ -460,12 +447,15 @@ class TestPMiss:
 
 # The benchmark's plan reports: `trustfed plan --M 30 --V 15` and `--M 30 --L 7`
 # at their default 20000 trials, as float.hex of (mc_estimate, mc_std_err,
-# gap_sigma).  The fixture below covers only 2500 trials.
+# gap_sigma), and `--M 30 --L 1`, whose single-item (geometric) stream no case
+# of the fixture below reaches.  That fixture covers only 2500 trials.
 PAPER_SCALE_REPORTS = [
     (dict(v=15), 0, ("0x1.e1bcd35a85879p+2", "0x1.ccaf3980dbc04p-8", "0x1.1d0be33cc72fdp+7")),
     (dict(v=15), 6, ("0x1.e25a1cac08313p+2", "0x1.cc447a01deee9p-8", "0x1.2009db56a59afp+7")),
     (dict(subset_size=7), 0, ("0x1.f87a786c22681p+3", "0x1.0e03f7f5729b5p-5", "0x1.8279288ce2d95p-2")),
     (dict(subset_size=7), 6, ("0x1.f8374bc6a7efap+3", "0x1.0cb2839cb9dbap-5", "0x1.08bceac0442b8p-3")),
+    (dict(subset_size=1), 0, ("0x1.df286594af4f1p+6", "0x1.07d7fa25a479bp-2", "0x1.de35fa3be5822p-3")),
+    (dict(subset_size=1), 6, ("0x1.ddc786c22680ap+6", "0x1.076986f0f37d0p-2", "0x1.92d0aeac0e572p+0")),
 ]
 
 
@@ -480,7 +470,7 @@ def test_paper_scale_report_is_pinned(target, seed, want):
 # reproduce these bit for bit.  Re-record (only when the oracle's draws are
 # meant to change) with ``PYTHONPATH=src python tests/test_planner.py``.
 REPORT_FIXTURE = Path(__file__).with_name("planner_reports.json")
-REPORT_TRIALS = 2500   # more than one block of keys in _mc_subsets
+REPORT_TRIALS = 2500   # more than one block of keys in _newly_covered
 REPORT_TARGETS = ((5, 3, 2), (10, 4, 3), (30, 15, 7), (70, 15, 10))   # (m, v, subset_size)
 
 
