@@ -98,17 +98,24 @@ def main(argv) -> int:
     sys.path.insert(0, str(PACKAGE.parent))
     prefix = str(PACKAGE) + "/"
     executed = {}   # file path -> lines that ran
+    # file path -> its line tracer.  A tracer returns itself, a reference
+    # cycle, so one made per call would leave garbage on every traced call
+    # until the collector runs, and the suite's tracemalloc peaks would count it.
+    tracers = {}
 
     def global_trace(frame, event, arg):
         path = frame.f_code.co_filename
         if not path.startswith(prefix):
             return None
-        hits = executed.setdefault(path, set())
+        local = tracers.get(path)
+        if local is None:
+            hits = executed.setdefault(path, set())
 
-        def local(frame, event, arg):
-            if event == "line":
-                hits.add(frame.f_lineno)
-            return local
+            def local(frame, event, arg):
+                if event == "line":
+                    hits.add(frame.f_lineno)
+                return local
+            local = tracers.setdefault(path, local)
         return local
 
     outcomes = _Outcomes()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -607,6 +608,30 @@ class TestEmit:
         lines = Path(paths["events"]).read_text().strip().splitlines()
         assert len(lines) == len(res.state.events)
         assert all(json.loads(line)["kind"] for line in lines)
+
+    def test_events_file_is_the_exported_log(self, tmp_path):
+        res = self.run_small()
+        written = emit(res, tmp_path)["events"].read_bytes()
+        assert written == ("\n".join(ledger.export_events(res.state)) + "\n").encode()
+
+    def test_traced_peak_does_not_grow_with_the_log(self, tmp_path):
+        # emit writes events.jsonl record by record, so 50 more rounds of log
+        # lengthen the file but not the traced peak of writing it.  Holding
+        # the lines in a list and joining them grows the peak by about 2.6
+        # times the file's growth.
+        peaks, sizes = [], []
+        for rounds in (10, 60):
+            res = run(SimConfig(**dict(FAST, rounds=rounds), seed=3))
+            out = tmp_path / str(rounds)
+            emit(res, out)
+            tracemalloc.start()
+            try:
+                paths = emit(res, out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(paths["events"].stat().st_size)
+        assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
 
 
 class TestConfigFile:
