@@ -529,6 +529,6 @@ def emit(result: RunResult, out_dir) -> dict:
     summary_path.write_text(json.dumps(result.summary, indent=2, sort_keys=True, default=np.generic.item) + "\n")
     events_path = out / "events.jsonl"
     with events_path.open("w") as handle:   # one record at a time, never the whole log
-        handle.writelines(ledger._event_line(ev) + "\n" for ev in result.state.events)
+        handle.writelines(ledger._event_line(ev) + "\n" for ev in result.state.iter_events())
     return {"metrics": csv_path, "summary": summary_path, "events": events_path}
 

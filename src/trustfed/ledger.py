@@ -9,9 +9,15 @@ running means of per-round verification scores; they weight the aggregation
 together with each client's data size.  An undefended run is ``aggregate``
 over a ledger that never receives a score, where every trust is exactly 1.
 The verification set is the queue.
+
+The event log is the contract's public audit trail.  It is kept as packed
+fixed-size binary records, each digest as the raw 32 bytes a chain would hold;
+``Event`` is the form it is read back in.
 """
 
 import json
+import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +60,12 @@ VERIFICATION_REQUESTED = "VerificationRequested"
 SCORES_RECEIVED = "ScoresReceived"
 DEGENERATE_AGGREGATION = "DegenerateAggregation"
 VERIFIER_SHORTFALL = "VerifierShortfall"
+_KINDS = (MODEL_SUBMITTED, QUEUE_FULL, GLOBAL_UPDATED, VERIFICATION_REQUESTED, SCORES_RECEIVED,
+          DEGENERATE_AGGREGATION, VERIFIER_SHORTFALL)
+# One event: round, kind index, client id, raw digest (zeros if none), then
+# bit 0 set if a client id is held and bit 1 if a digest is.
+_RECORD = struct.Struct("<IBq32sB")
+_HEX_DIGEST = re.compile("[0-9a-f]{64}")
 
 # Order matters: defense.combine_scores gives entry k to a client that k of its two filters leave out.
 VALID_SCORES = (0.0, 0.5, 1.0)
@@ -159,10 +171,34 @@ class ContractState:
         self.global_model_digest = global_model_digest
         self.verification_set = frozenset()
         self.round_counter = 0
-        self.events = []
+        self._log = bytearray()
 
     def log(self, kind: str, client_id: int = None, digest: str = None):
-        self.events.append(Event(self.round_counter, kind, client_id, digest))
+        """Append one event; ``DomainError`` for any the record cannot hold exactly."""
+        if kind not in _KINDS:
+            raise DomainError(f"unknown event kind {kind!r}")
+        if client_id is not None and client_id < 0:
+            raise DomainError(f"client id must be non-negative, got {client_id}")
+        if digest is not None and not (isinstance(digest, str) and _HEX_DIGEST.fullmatch(digest)):
+            raise DomainError(f"digest must be 64 lowercase hex characters, got {digest!r}")
+        held = (client_id is not None) | (digest is not None) << 1
+        try:
+            self._log += _RECORD.pack(self.round_counter, _KINDS.index(kind), client_id or 0,
+                                      bytes.fromhex(digest) if digest else b"", held)
+        except struct.error as exc:
+            raise DomainError(f"round counter or client id outside the event record: {exc}") from None
+
+    def iter_events(self):
+        """Each logged ``Event`` in order, rebuilt one record at a time."""
+        for offset in range(0, len(self._log), _RECORD.size):
+            rnd, kind, client_id, raw, held = _RECORD.unpack_from(self._log, offset)
+            yield Event(rnd, _KINDS[kind], client_id if held & 1 else None,
+                        raw.hex() if held & 2 else None)
+
+    @property
+    def events(self):
+        """A fresh list of every logged ``Event``; changing it leaves the log as it is."""
+        return list(self.iter_events())
 
 
 def submit(state: ContractState, store: OffchainStore, sub):
@@ -258,4 +294,4 @@ def _event_line(ev: Event) -> str:
 
 def export_events(state: ContractState):
     """One JSON record per event: round, kind, client id, digest."""
-    return [_event_line(ev) for ev in state.events]
+    return [_event_line(ev) for ev in state.iter_events()]

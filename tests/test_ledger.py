@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,14 @@ from trustfed.errors import (
     IntegrityError,
     RegistryError,
 )
-from trustfed.hashing import model_digest
+from trustfed.hashing import blob_digest, model_digest
+
+
+EVENT_KINDS = (ledger.MODEL_SUBMITTED, ledger.QUEUE_FULL, ledger.GLOBAL_UPDATED,
+               ledger.VERIFICATION_REQUESTED, ledger.SCORES_RECEIVED,
+               ledger.DEGENERATE_AGGREGATION, ledger.VERIFIER_SHORTFALL)
+RECORD_MAX_ROUND = 2**32 - 1
+RECORD_MAX_CLIENT = 2**63 - 1
 
 
 def constant_model(value, width=2):
@@ -366,7 +375,6 @@ class TestEvents:
         submit_models(state, store, [constant_model(1.0)])
         lines = ledger.export_events(state)
         assert len(lines) == 2
-        import json
         record = json.loads(lines[0])
         assert record["kind"] == ledger.MODEL_SUBMITTED
         assert record["client"] == 0
@@ -384,6 +392,74 @@ class TestEvents:
         assert not hasattr(event, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             event.kind = ledger.MODEL_SUBMITTED
+
+    def test_unknown_kind_is_refused(self):
+        state, _ = fresh_contract(1)
+        with pytest.raises(DomainError, match="unknown event kind 'bogus'"):
+            state.log("bogus")
+        assert state.events == []
+
+    @pytest.mark.parametrize("digest", ["AB" * 32, "ab" * 31, "ab" * 33, "zz" * 32,
+                                        "ab" * 31 + " a", b"ab" * 32])
+    def test_digest_not_64_lowercase_hex_is_refused(self, digest):
+        state, _ = fresh_contract(1)
+        with pytest.raises(DomainError, match="64 lowercase hex"):
+            state.log(ledger.GLOBAL_UPDATED, digest=digest)
+        assert state.events == []
+
+    @pytest.mark.parametrize("client_id", [-1, RECORD_MAX_CLIENT + 1])
+    def test_client_id_outside_the_record_is_refused(self, client_id):
+        state, _ = fresh_contract(1)
+        with pytest.raises(DomainError, match="client id"):
+            state.log(ledger.SCORES_RECEIVED, client_id=client_id)
+        assert state.events == []
+
+    @pytest.mark.parametrize("round_counter", [-1, RECORD_MAX_ROUND + 1])
+    def test_round_counter_outside_the_record_is_refused(self, round_counter):
+        state, _ = fresh_contract(1)
+        state.round_counter = round_counter
+        with pytest.raises(DomainError, match="round counter"):
+            state.log(ledger.QUEUE_FULL)
+        assert state.events == []
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, RECORD_MAX_ROUND),
+        st.sampled_from(EVENT_KINDS),
+        st.none() | st.integers(0, RECORD_MAX_CLIENT),
+        st.none() | st.text("0123456789abcdef", min_size=64, max_size=64)), max_size=40))
+    def test_log_reads_back_as_the_list_of_events_it_was_given(self, calls):
+        state, _ = fresh_contract(1)
+        for round_counter, kind, client_id, digest in calls:
+            state.round_counter = round_counter
+            state.log(kind, client_id=client_id, digest=digest)
+        expect = [ledger.Event(*call) for call in calls]
+        assert state.events == expect
+        assert ledger.export_events(state) == [
+            json.dumps({"round": r, "kind": k, "client": c, "digest": d}, sort_keys=True)
+            for r, k, c, d in calls]
+        read = state.events
+        read.clear()
+        read.append(ledger.Event(0, ledger.QUEUE_FULL))
+        assert state.events == expect
+
+    def test_log_keeps_under_64_bytes_an_event(self):
+        # A chain holds a model hash as a 32-byte word.  A list of Event
+        # objects, each with its 64-character hex digest and client id
+        # alive, kept about 213 bytes an event here.
+        n = 1800
+        state, _ = fresh_contract(1)
+        tracemalloc.start()
+        try:
+            digests = [blob_digest(i.to_bytes(2, "little")) for i in range(n)]
+            for i in range(n):
+                state.log(ledger.MODEL_SUBMITTED, client_id=i, digest=digests[i])
+            del digests
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(state.events) == n
+        assert kept < 64 * n
 
 
 class TestContractProperties:
