@@ -45,7 +45,7 @@ def _cmd_run(args) -> int:
     paths = emit(result, args.out)
     final = result.metrics[-1]
     print(f"rounds={cfg.rounds} final_ma={final.ma:.4f} final_ba={final.ba:.4f}")
-    print(f"wrote {paths['metrics']} and {paths['summary']}")
+    print("wrote " + ", ".join(str(path) for path in paths.values()))
     return 0
 
 

@@ -162,11 +162,11 @@ def partition_non_iid(data: Dataset, spec: PartitionSpec):
     a uniformly chosen class, so the expected dominant fraction is
     ``phi + (1 - phi) / n_classes``.
     """
-    return _partition(data.x, data.y, data.n_classes, spec)
+    return [data.subset(rows) for rows in _partition(data.y, data.n_classes, spec)]
 
 
-def _partition(x, y, n_classes, spec: PartitionSpec):
-    """``partition_non_iid`` of the rows ``x`` labeled ``y``; each part is a ``Dataset``.
+def _partition(y, n_classes, spec: PartitionSpec):
+    """``partition_non_iid``'s choice of rows: each client's row indices into ``y``.
 
     Each class's row indices are shuffled once into its own stretch of one
     array; a draw from class c counts down its stretch, taking the last index
@@ -193,8 +193,7 @@ def _partition(x, y, n_classes, spec: PartitionSpec):
                 raise DomainError(f"class {c} exhausted while partitioning")
             ends[c] -= 1
             taken.append(ends[c])
-        chosen = shuffled[taken]
-        parts.append(Dataset(x[chosen], y[chosen], n_classes))
+        parts.append(shuffled[taken])
     return parts
 
 
@@ -263,13 +262,12 @@ def triggered_testset(data: Dataset, spec: PoisonSpec) -> Dataset:
     return Dataset(x, y, data.n_classes)
 
 
-def load_csv(path, n_classes: int = None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Read samples from CSV rows of ``d`` feature columns plus an integer label.
 
-    A file with no data rows, a header row, a non-numeric cell or a ragged row
-    raises ``DomainError``, and so does ``Dataset`` for a label that is not an
-    exact integer in range.  With ``n_classes`` unset, so does a class count
-    inferred above the row count.
+    The class count is one more than the largest label.  A file with no data
+    rows, a header row, a non-numeric cell, a ragged row, a label that is not an
+    exact integer (``Dataset``) or more classes than rows raises ``DomainError``.
     """
     try:
         with warnings.catch_warnings():
@@ -282,8 +280,6 @@ def load_csv(path, n_classes: int = None) -> Dataset:
         raise DomainError("CSV needs at least one feature column and a label column")
     x = raw[:, :-1]
     y = raw[:, -1]
-    if n_classes is not None:
-        return Dataset(x, y, n_classes)
     # int() reads labels below 2**53 exactly; Dataset refuses the rest (NaN, inf) as out of range.
     data = Dataset(x, y, int(y[np.abs(y) < 2.0**53].max(initial=0)) + 1)
     if data.n_classes > len(data):

@@ -254,11 +254,11 @@ def eval_detection(queue_client_ids, trust_ledger: ledger.TrustLedger, attacker_
 def _load_csv_data(cfg: SimConfig, partition: PartitionSpec):
     """Client partitions and test set from ``cfg.data_csv``, read afresh every run."""
     full = load_csv(cfg.data_csv)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "csv_split"))
-    order = rng.permutation(len(full))
+    order = np.random.default_rng(derive_seed(cfg.seed, "csv_split")).permutation(len(full))
     n_test = max(1, int(round(_TEST_FRACTION * len(full))))
     train = order[n_test:]
-    return tuple(_partition(full.x[train], full.y[train], full.n_classes, partition)), full.subset(order[:n_test])
+    parts = _partition(full.y[train], full.n_classes, partition)
+    return tuple(full.subset(train[rows]) for rows in parts), full.subset(order[:n_test])
 
 
 def _pool_size(pool_factor, n_clients, per_client_size) -> int:
@@ -282,9 +282,9 @@ def _synthetic_data(master, n_clients, non_iid_degree, per_client_size, pool_fac
                                  n_features, derive_seed(master, "trainpool"), data_separation)
     test = gen_dataset(test_size, n_classes, n_features,
                        derive_seed(master, "test"), data_separation)
-    parts = _partition(pool_x, pool_y, n_classes, PartitionSpec(
+    parts = _partition(pool_y, n_classes, PartitionSpec(
         n_clients, non_iid_degree, per_client_size, derive_seed(master, "partition")))
-    return tuple(parts), test
+    return tuple(Dataset(pool_x[rows], pool_y[rows], n_classes) for rows in parts), test
 
 
 def _attacker_count(cfg: SimConfig) -> int:
@@ -509,7 +509,7 @@ def _aggregate(state, trust, store, global_model) -> nn.ModelParams:
 
 
 def emit(result: RunResult, out_dir) -> dict:
-    """Write per-round metrics as CSV plus a JSON summary; returns the paths."""
+    """Write per-round metrics as CSV, a JSON summary and the event log; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "metrics.csv"

@@ -10,9 +10,10 @@ together with each client's data size.  An undefended run is ``aggregate``
 over a ledger that never receives a score, where every trust is exactly 1.
 The verification set is the queue.
 
-The event log is the contract's public audit trail.  It is kept as packed
-fixed-size binary records, each digest as the raw 32 bytes a chain would hold;
-``Event`` is the form it is read back in.
+The event log is the contract's public audit trail: packed 45-byte records,
+each digest as the raw 32 bytes a chain would hold.  One table, ``_FIELDS``,
+states which kinds carry a client id and which a digest, and ``ContractState.log``
+refuses an event without exactly its kind's fields; ``Event`` is the read-back form.
 """
 
 import json
@@ -60,11 +61,13 @@ VERIFICATION_REQUESTED = "VerificationRequested"
 SCORES_RECEIVED = "ScoresReceived"
 DEGENERATE_AGGREGATION = "DegenerateAggregation"
 VERIFIER_SHORTFALL = "VerifierShortfall"
-_KINDS = (MODEL_SUBMITTED, QUEUE_FULL, GLOBAL_UPDATED, VERIFICATION_REQUESTED, SCORES_RECEIVED,
-          DEGENERATE_AGGREGATION, VERIFIER_SHORTFALL)
-# One event: round, kind index, client id, raw digest (zeros if none), then
-# bit 0 set if a client id is held and bit 1 if a digest is.
-_RECORD = struct.Struct("<IBq32sB")
+# Each event kind, in record order, and whether it carries (a client id, a digest).
+_FIELDS = {MODEL_SUBMITTED: (True, True), QUEUE_FULL: (False, False), GLOBAL_UPDATED: (False, True),
+           VERIFICATION_REQUESTED: (False, False), SCORES_RECEIVED: (True, False),
+           DEGENERATE_AGGREGATION: (False, False), VERIFIER_SHORTFALL: (False, False)}
+_KINDS = tuple(_FIELDS)
+# One event: round, kind index, client id (0 if none), raw digest (zeros if none).
+_RECORD = struct.Struct("<IBq32s")
 _HEX_DIGEST = re.compile("[0-9a-f]{64}")
 
 # Order matters: defense.combine_scores gives entry k to a client that k of its two filters leave out.
@@ -112,47 +115,43 @@ class OffchainStore:
 class TrustLedger:
     """Per-client trust: the exact running mean of received scores.
 
-    The mean is kept as (sum of scores, count) so reading the trust is a
-    single division; iterating the textbook update S <- ((t-1)S + s)/t in
-    floating point would slowly drift off the true mean.  Unscored clients
-    report the initial trust of 1.
+    Each client's mean is kept as one ``[sum of scores, count]`` entry, so
+    reading the trust is a single division; iterating the textbook update
+    S <- ((t-1)S + s)/t in floating point would slowly drift off the true
+    mean.  Unscored clients report the initial trust of 1.
     """
 
     def __init__(self):
-        self._sums = {}
-        self._counts = {}
+        self._entries = {}
 
     def register(self, client_ids):
         for cid in client_ids:
-            cid = int(cid)
-            self._sums.setdefault(cid, 0.0)
-            self._counts.setdefault(cid, 0)
+            self._entries.setdefault(int(cid), [0.0, 0])
 
     def clients(self):
-        return sorted(self._sums)
+        return sorted(self._entries)
 
-    def _check(self, client_id: int):
-        if client_id not in self._sums:
+    def _entry(self, client_id: int) -> list:
+        if client_id not in self._entries:
             raise RegistryError(f"unknown client {client_id}")
+        return self._entries[client_id]
 
     def trust(self, client_id: int) -> float:
-        self._check(client_id)
-        count = self._counts[client_id]
-        return 1.0 if count == 0 else self._sums[client_id] / count
+        total, count = self._entry(client_id)
+        return 1.0 if count == 0 else total / count
 
     def count(self, client_id: int) -> int:
-        self._check(client_id)
-        return self._counts[client_id]
+        return self._entry(client_id)[1]
 
     def update(self, client_id: int, score: float):
-        self._check(client_id)
+        entry = self._entry(client_id)
         if score not in VALID_SCORES:
             raise DomainError(f"score must be one of {VALID_SCORES}, got {score}")
-        self._sums[client_id] += score
-        self._counts[client_id] += 1
+        entry[0] += score
+        entry[1] += 1
 
     def snapshot(self) -> dict:
-        return {cid: self.trust(cid) for cid in self._sums}
+        return {cid: self.trust(cid) for cid in self._entries}
 
 
 def check_queue_capacity(n: int):
@@ -174,26 +173,30 @@ class ContractState:
         self._log = bytearray()
 
     def log(self, kind: str, client_id: int = None, digest: str = None):
-        """Append one event; ``DomainError`` for any the record cannot hold exactly."""
-        if kind not in _KINDS:
+        """Append one event; ``DomainError`` for an unknown kind, a client id or digest
+        its kind does not carry or lacks (``_FIELDS``), and any the record cannot hold."""
+        if kind not in _FIELDS:
             raise DomainError(f"unknown event kind {kind!r}")
+        has_client, has_digest = _FIELDS[kind]
+        if (client_id is not None, digest is not None) != (has_client, has_digest):
+            raise DomainError(f"a {kind} event carries {'a' if has_client else 'no'} client id "
+                              f"and {'a' if has_digest else 'no'} digest")
         if client_id is not None and client_id < 0:
             raise DomainError(f"client id must be non-negative, got {client_id}")
         if digest is not None and not (isinstance(digest, str) and _HEX_DIGEST.fullmatch(digest)):
             raise DomainError(f"digest must be 64 lowercase hex characters, got {digest!r}")
-        held = (client_id is not None) | (digest is not None) << 1
         try:
             self._log += _RECORD.pack(self.round_counter, _KINDS.index(kind), client_id or 0,
-                                      bytes.fromhex(digest) if digest else b"", held)
+                                      bytes.fromhex(digest) if digest else b"")
         except struct.error as exc:
             raise DomainError(f"round counter or client id outside the event record: {exc}") from None
 
     def iter_events(self):
         """Each logged ``Event`` in order, rebuilt one record at a time."""
         for offset in range(0, len(self._log), _RECORD.size):
-            rnd, kind, client_id, raw, held = _RECORD.unpack_from(self._log, offset)
-            yield Event(rnd, _KINDS[kind], client_id if held & 1 else None,
-                        raw.hex() if held & 2 else None)
+            rnd, index, client_id, raw = _RECORD.unpack_from(self._log, offset)
+            has_client, has_digest = _FIELDS[_KINDS[index]]
+            yield Event(rnd, _KINDS[index], client_id if has_client else None, raw.hex() if has_digest else None)
 
     @property
     def events(self):

@@ -83,7 +83,9 @@ class TestRunCommand:
         assert len(rows) == 3  # header + 2 rounds
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rounds"] == 2
-        assert "final_ma" in capsys.readouterr().out or True
+        assert capsys.readouterr().out.splitlines() == [
+            f"rounds=2 final_ma={summary['final_ma']:.4f} final_ba={summary['final_ba']:.4f}",
+            f"wrote {out / 'metrics.csv'}, {out / 'summary.json'}, {out / 'events.jsonl'}"]
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

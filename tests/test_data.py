@@ -237,9 +237,9 @@ class TestPartitionMatchesReference:
         ds = data.gen_dataset(n, n_classes, n_classes + 1, seed)
         spec = data.PartitionSpec(n_clients, phi, per_client, seed + 100)
 
-        def raw(_, spec):   # the generator's own arrays, as harness._synthetic_data cuts them
+        def raw(_, spec):   # the generator's own arrays, as harness._synthetic_data gathers them
             x, y = data._gen_arrays(n, n_classes, n_classes + 1, seed, data.DEFAULT_SEPARATION)
-            return data._partition(x, y, n_classes, spec)
+            return [data.Dataset(x[r], y[r], n_classes) for r in data._partition(y, n_classes, spec)]
 
         outcomes = []
         for partition in (reference_partition_non_iid, data.partition_non_iid, raw):
@@ -381,10 +381,10 @@ class TestCsv:
         path = tmp_path / "near.csv"
         path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
         with pytest.raises(DomainError, match="exact integers"):
-            data.load_csv(path, n_classes=4)
+            data.load_csv(path)
 
-    # With n_classes unset, the class count comes from the labels; a label that
-    # int() cannot read exactly must still end in the label rule's DomainError.
+    # The class count comes from the labels; a label that int() cannot read
+    # exactly must still end in the label rule's DomainError.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e20", "2.5"])
     def test_inferred_class_count_refuses_inexact_labels(self, tmp_path, label):

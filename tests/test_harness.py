@@ -497,6 +497,22 @@ class TestCsvDataPath:
         want = partition_non_iid(full.subset(order[n_test:]), spec)
         assert _data_digest(parts, test) == _data_digest(want, full.subset(order[:n_test]))
 
+    def test_gathers_the_parts_without_copying_the_training_split(self, monkeypatch):
+        # Each part is gathered from the loaded rows; a copy of the training
+        # split's features (16000 x 20 here) would cost 2.4 MiB on top.
+        full = gen_dataset(20000, 5, 20, seed=3)
+        monkeypatch.setattr(harness, "load_csv", lambda path: full)
+        cfg = SimConfig(data_csv="loaded.csv", seed=3, n_clients=40, per_client_size=200)
+        tracemalloc.start()
+        try:
+            parts, test = harness._load_csv_data(cfg, PartitionSpec(40, 0.5, 200, derive_seed(3, "partition")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(ds.x.nbytes + ds.y.nbytes for ds in (*parts, test))
+        train_feature_bytes = (len(full) - len(test)) * full.x.itemsize * full.n_features
+        assert peak < held + train_feature_bytes / 2
+
 
 class TestPgdDeltaMedian:
     # The calibration's median must be np.median's to the bit: numpy averages a

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -17,9 +18,13 @@ from trustfed.errors import (
 from trustfed.hashing import blob_digest, model_digest
 
 
-EVENT_KINDS = (ledger.MODEL_SUBMITTED, ledger.QUEUE_FULL, ledger.GLOBAL_UPDATED,
-               ledger.VERIFICATION_REQUESTED, ledger.SCORES_RECEIVED,
-               ledger.DEGENERATE_AGGREGATION, ledger.VERIFIER_SHORTFALL)
+# Each event kind and whether it carries (a client id, a digest).
+KIND_FIELDS = {ledger.MODEL_SUBMITTED: (True, True), ledger.QUEUE_FULL: (False, False),
+               ledger.GLOBAL_UPDATED: (False, True), ledger.VERIFICATION_REQUESTED: (False, False),
+               ledger.SCORES_RECEIVED: (True, False), ledger.DEGENERATE_AGGREGATION: (False, False),
+               ledger.VERIFIER_SHORTFALL: (False, False)}
+WRONG_FIELDS = [(kind, fields) for kind in KIND_FIELDS
+                for fields in itertools.product((False, True), repeat=2) if fields != KIND_FIELDS[kind]]
 RECORD_MAX_ROUND = 2**32 - 1
 RECORD_MAX_CLIENT = 2**63 - 1
 
@@ -422,12 +427,21 @@ class TestEvents:
             state.log(ledger.QUEUE_FULL)
         assert state.events == []
 
+    @pytest.mark.parametrize("kind, fields", WRONG_FIELDS)
+    def test_fields_other_than_the_kinds_are_refused(self, kind, fields):
+        state, _ = fresh_contract(1)
+        has_client, has_digest = fields
+        with pytest.raises(DomainError, match=f"a {kind} event carries"):
+            state.log(kind, client_id=7 if has_client else None, digest="ab" * 32 if has_digest else None)
+        assert state.events == []
+
     @settings(deadline=None)
-    @given(st.lists(st.tuples(
+    @given(st.lists(st.sampled_from(list(KIND_FIELDS)).flatmap(lambda kind: st.tuples(
         st.integers(0, RECORD_MAX_ROUND),
-        st.sampled_from(EVENT_KINDS),
-        st.none() | st.integers(0, RECORD_MAX_CLIENT),
-        st.none() | st.text("0123456789abcdef", min_size=64, max_size=64)), max_size=40))
+        st.just(kind),
+        st.integers(0, RECORD_MAX_CLIENT) if KIND_FIELDS[kind][0] else st.none(),
+        st.text("0123456789abcdef", min_size=64, max_size=64) if KIND_FIELDS[kind][1] else st.none())),
+        max_size=40))
     def test_log_reads_back_as_the_list_of_events_it_was_given(self, calls):
         state, _ = fresh_contract(1)
         for round_counter, kind, client_id, digest in calls:
