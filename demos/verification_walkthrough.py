@@ -45,7 +45,7 @@ print(f"\nsimilarity filter suspects: {sorted(s1)}")
 print("  (colluders share their strongest direction, so their deviations")
 print("   over-align with the cohort mean gradient)")
 
-mus = [nn.by_class_gradient(c) for c in task.clients]
+mus = [defense.by_class_gradient(c) for c in task.clients]
 print("\nby-class summaries (per-class row sums ++ bias gradient):")
 for c, mu in zip(task.clients, mus):
     mark = "*" if c.client_id >= N_BENIGN else " "

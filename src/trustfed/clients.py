@@ -142,7 +142,8 @@ def local_round(
 
     The reported ultimate gradient covers the whole local round relative to
     the received global model, which is the only gradient the verification
-    protocol ever transmits.  A ``pgd`` or ``pgd_mr`` client needs ``attack_params``.
+    protocol ever transmits, so ``cfg.learning_rate`` must be positive.  A
+    ``pgd`` or ``pgd_mr`` client needs ``attack_params``.
     """
     projecting = profile.attack in PROJECTING_ATTACKS
     if projecting and attack_params is None:
@@ -155,17 +156,10 @@ def local_round(
         if profile.attack is Attack.PGD_MR:
             model = model_replace(model, global_model, attack_params.gamma)
         model = pgd_project(model, global_model, attack_params.delta)
-    if cfg.learning_rate > 0:
-        ug = nn.extract_ultimate_gradient(
-            global_model, model, cfg.learning_rate,
-            client_id=profile.client_id, round_index=round_index,
-        )
-    else:
-        u, b = global_model.ultimate()
-        ug = nn.UltimateGradient(
-            np.zeros_like(u), np.zeros_like(b),
-            client_id=profile.client_id, round_index=round_index,
-        )
+    ug = nn.extract_ultimate_gradient(
+        global_model, model, cfg.learning_rate,
+        client_id=profile.client_id, round_index=round_index,
+    )
     return Submission(
         client_id=profile.client_id,
         model=model,

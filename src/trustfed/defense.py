@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 
-from . import nn
 from .errors import DomainError, NumericalError, ShapeError
 from .ledger import VALID_SCORES
 
@@ -37,6 +36,7 @@ __all__ = [
     "ScoreReport",
     "make_task",
     "filter_gradient_similarity",
+    "by_class_gradient",
     "filter_byclass_kmeans",
     "combine_scores",
     "verify",
@@ -208,6 +208,12 @@ def _two_means(features):
     return member_a
 
 
+def by_class_gradient(g) -> np.ndarray:
+    """Per-class summary of an ``nn.UltimateGradient`` or a ``TaskClient``:
+    row sums of dU concatenated with db, length 2*classes."""
+    return np.concatenate([g.du.sum(axis=1), g.db])
+
+
 def filter_byclass_kmeans(task: VerificationTask) -> frozenset:
     """Suspects by clustering the by-class gradient summaries.
 
@@ -217,7 +223,7 @@ def filter_byclass_kmeans(task: VerificationTask) -> frozenset:
     task guarantees at least two clients.
     """
     clients = task.clients
-    mus = np.array([nn.by_class_gradient(c) for c in clients])
+    mus = np.array([by_class_gradient(c) for c in clients])
     features = _norms(mus[:, None, :] - mus[None, :, :], axis=2)
     ids = task.client_ids()
     member_a = _two_means(features)

@@ -426,17 +426,16 @@ def _run(cfg: SimConfig) -> RunResult:
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
         state.round_counter = t
-        submissions = _local_rounds(cfg, train_cfg, t, profiles, global_model, attack_params, state, store)
+        sampled = _local_rounds(cfg, train_cfg, t, profiles, global_model, attack_params, state, store)
         if cfg.defense_enabled:
-            due[t + cfg.verify_lag] = _verify(cfg, t, submissions, global_model, state, trust,
-                                              verifier_pool, bad_verifiers)
+            due[t + cfg.verify_lag] = _verify(cfg, t, global_model, state, trust, verifier_pool, bad_verifiers)
             for report in due.pop(t, ()):
                 for cid in sorted(report.scores):
                     trust.update(cid, report.scores[cid])
         global_model = _aggregate(state, trust, store, global_model)
         ma = eval_ma(global_model, test)
         ba = eval_ba(global_model, triggered, cfg.target_class)
-        tpr, tnr = eval_detection(list(submissions), trust, attackers)
+        tpr, tnr = eval_detection(sampled, trust, attackers)
         metrics.append(RoundMetrics(t, ma, ba, tpr, tnr, time.perf_counter() - started))
 
     final = metrics[-1]
@@ -456,22 +455,21 @@ def _run(cfg: SimConfig) -> RunResult:
     return RunResult(cfg, metrics, summary, global_model, state, trust)
 
 
-def _local_rounds(cfg: SimConfig, train_cfg, t, profiles, global_model, attack_params, state, store) -> dict:
-    """Round ``t``'s sampled clients train, store and submit; returns their submissions by id."""
+def _local_rounds(cfg: SimConfig, train_cfg, t, profiles, global_model, attack_params, state, store) -> list:
+    """Round ``t``'s sampled clients train, store and submit to the contract; returns their ids."""
     rng = np.random.default_rng(derive_seed(cfg.seed, "round", t, "sample"))
     sampled = sorted(int(c) for c in rng.choice(cfg.n_clients, size=cfg.queue_size, replace=False))
-    submissions = {}
     for cid in sampled:
         client_cfg = replace(train_cfg, seed=derive_seed(cfg.seed, "round", t, "client", cid))
         sub = local_round(profiles[cid], global_model, client_cfg, t, attack_params)
         store.put(nn.to_bytes(sub.model))
         ledger.submit(state, store, sub)
-        submissions[cid] = sub
-    return submissions
+    return sampled
 
 
-def _verify(cfg: SimConfig, t, submissions, global_model, state, trust, verifier_pool, bad_verifiers) -> list:
-    """Round ``t``'s score reports on the queued clients, forced or corrupted as configured."""
+def _verify(cfg: SimConfig, t, global_model, state, trust, verifier_pool, bad_verifiers) -> list:
+    """Round ``t``'s score reports on the submissions in the contract's queue,
+    forced or corrupted as configured."""
     mset = ledger.select_verification_set(state)
     verifiers = ledger.select_verifiers(state, trust, cfg.n_verifiers, cfg.verifier_policy,
                                         derive_seed(cfg.seed, "round", t, "verifiers"),
@@ -479,9 +477,10 @@ def _verify(cfg: SimConfig, t, submissions, global_model, state, trust, verifier
     assignment = defense.assign_clients_to_verifiers(
         mset, verifiers, cfg.verify_subset_size, derive_seed(cfg.seed, "round", t, "assign"))
     snapshot = trust.snapshot()
+    queued = {sub.client_id: sub for sub in state.queue}
     reports = []
     for vid in sorted(assignment):
-        task = defense.make_task(vid, [submissions[c] for c in assignment[vid]],
+        task = defense.make_task(vid, [queued[c] for c in assignment[vid]],
                                  global_model, cfg.learning_rate, snapshot, t)
         report = defense.verify(task)
         if cfg.force_unit_scores:
@@ -529,6 +528,6 @@ def emit(result: RunResult, out_dir) -> dict:
     summary_path.write_text(json.dumps(result.summary, indent=2, sort_keys=True, default=np.generic.item) + "\n")
     events_path = out / "events.jsonl"
     with events_path.open("w") as handle:   # one record at a time, never the whole log
-        handle.writelines(ledger._event_line(ev) + "\n" for ev in result.state.iter_events())
+        handle.writelines(line + "\n" for line in ledger.export_events(result.state))
     return {"metrics": csv_path, "summary": summary_path, "events": events_path}
 

@@ -289,12 +289,8 @@ def select_verifiers(state: ContractState, ledger: TrustLedger, v: int, policy: 
     return tuple(sorted(int(c) for c in rng.choice(pool, size=v, replace=False)))
 
 
-def _event_line(ev: Event) -> str:
-    """The one JSON record format of an event: round, kind, client id, digest."""
-    return json.dumps({"round": ev.round_index, "kind": ev.kind,
-                       "client": ev.client_id, "digest": ev.digest}, sort_keys=True)
-
-
 def export_events(state: ContractState):
-    """One JSON record per event: round, kind, client id, digest."""
-    return [_event_line(ev) for ev in state.iter_events()]
+    """Yield one JSON line per event, record by record: round, kind, client id, digest."""
+    for ev in state.iter_events():
+        yield json.dumps({"round": ev.round_index, "kind": ev.kind,
+                          "client": ev.client_id, "digest": ev.digest}, sort_keys=True)

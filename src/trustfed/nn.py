@@ -39,7 +39,6 @@ __all__ = [
     "check_gradient_rate",
     "check_mlp_shape",
     "extract_ultimate_gradient",
-    "by_class_gradient",
     "lincomb",
     "flatten",
     "to_bytes",
@@ -400,12 +399,6 @@ def extract_ultimate_gradient(
         client_id=client_id,
         round_index=round_index,
     )
-
-
-def by_class_gradient(g: UltimateGradient) -> np.ndarray:
-    """Per-class summary of an ``UltimateGradient`` or a ``defense.TaskClient``:
-    row sums of dU concatenated with db, length 2*classes."""
-    return np.concatenate([g.du.sum(axis=1), g.db])
 
 
 def lincomb(models, coeffs) -> ModelParams:

@@ -27,13 +27,12 @@ class TestClientProfile:
 
 
 class TestLocalRound:
-    def test_zero_learning_rate_returns_global(self):
+    def test_zero_learning_rate_is_refused(self):
         profile = make_profile(1)
         g = small_global()
         cfg = nn.TrainConfig(learning_rate=0.0, local_epochs=2, batch_size=16, seed=3)
-        sub = clients.local_round(profile, g, cfg, round_index=1)
-        assert sub.model_digest == model_digest(g)
-        assert (sub.ug.du == 0).all() and (sub.ug.db == 0).all()
+        with pytest.raises(DomainError, match="learning_rate must be positive to extract a gradient"):
+            clients.local_round(profile, g, cfg, round_index=1)
 
     def test_blackbox_with_zero_pdr_equals_benign(self):
         benign = make_profile(2)

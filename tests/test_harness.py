@@ -167,7 +167,7 @@ class TestRun:
         for ma, mb in zip(a.metrics, b.metrics):
             assert (ma.round_index, ma.ma, ma.ba, ma.tpr, ma.tnr) == \
                    (mb.round_index, mb.ma, mb.ba, mb.tpr, mb.tnr)
-        assert ledger.export_events(a.state) == ledger.export_events(b.state)
+        assert list(ledger.export_events(a.state)) == list(ledger.export_events(b.state))
 
     def test_metric_bounds(self):
         res = run(SimConfig(attacker_ratio=0.25, attack="blackbox", seed=12, **FAST))

@@ -378,18 +378,26 @@ class TestEvents:
     def test_export_is_one_json_record_per_event(self):
         state, store = fresh_contract(1)
         submit_models(state, store, [constant_model(1.0)])
-        lines = ledger.export_events(state)
+        lines = list(ledger.export_events(state))
         assert len(lines) == 2
         record = json.loads(lines[0])
         assert record["kind"] == ledger.MODEL_SUBMITTED
         assert record["client"] == 0
+
+    def test_export_yields_one_line_at_a_time(self):
+        state, store = fresh_contract(1)
+        submit_models(state, store, [constant_model(1.0)])
+        lines = ledger.export_events(state)
+        assert iter(lines) is lines
+        first = json.loads(next(lines))
+        assert (first["kind"], first["client"]) == (ledger.MODEL_SUBMITTED, 0)
 
     def test_event_sequence_deterministic(self):
         def build():
             state, store = fresh_contract(2)
             submit_models(state, store, [constant_model(1.0), constant_model(2.0)])
             ledger.aggregate(state, unscored_ledger(2), store)
-            return ledger.export_events(state)
+            return list(ledger.export_events(state))
         assert build() == build()
 
     def test_event_has_no_instance_dict_and_stays_frozen(self):
@@ -449,7 +457,7 @@ class TestEvents:
             state.log(kind, client_id=client_id, digest=digest)
         expect = [ledger.Event(*call) for call in calls]
         assert state.events == expect
-        assert ledger.export_events(state) == [
+        assert list(ledger.export_events(state)) == [
             json.dumps({"round": r, "kind": k, "client": c, "digest": d}, sort_keys=True)
             for r, k, c, d in calls]
         read = state.events

@@ -291,30 +291,6 @@ class TestUltimateGradient:
             nn.extract_ultimate_gradient(model, model, 0.0)
 
 
-class TestByClassGradient:
-    def test_hand_example(self):
-        g = nn.UltimateGradient(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                                np.array([5.0, 6.0]), 0, 0)
-        assert np.allclose(nn.by_class_gradient(g), [3.0, 7.0, 5.0, 6.0])
-
-    def test_zero_gradient(self):
-        g = nn.UltimateGradient(np.zeros((3, 4)), np.zeros(3), 0, 0)
-        assert (nn.by_class_gradient(g) == 0).all()
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(30)
-        du = rng.standard_normal((3, 5))
-        db = rng.standard_normal(3)
-        g = nn.UltimateGradient(du, db, 0, 0)
-        expect = np.zeros(6)
-        for i in range(3):
-            for j in range(5):
-                expect[i] += du[i, j]
-        for i in range(3):
-            expect[3 + i] = db[i]
-        assert np.allclose(nn.by_class_gradient(g), expect, atol=1e-15)
-
-
 def reference_to_bytes(model):
     """The canonical serialization, written out independently of ``nn``."""
     out = [struct.pack("<I", len(model.layers))]

@@ -26,6 +26,21 @@ def test_imports_only_numpy_and_the_standard_library(path):
     assert [(line, root) for line, root in import_roots(path) if root not in allowed] == []
 
 
+def package_imports(path):
+    """The trustfed module each relative import in the file names, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_the_verifier_side_imports_only_errors_and_the_ledger():
+    # The by-class summary lives with its filter, so verifying needs no nn.
+    assert set(package_imports(PACKAGE / "defense.py")) == {"errors", "ledger"}
+
+
 def test_function_level_imports_are_seen():
     assert "threading" in {root for _, root in import_roots(PACKAGE / "planner.py")}
 
