@@ -385,6 +385,16 @@ class TestCsv:
         with pytest.raises(DomainError, match="exact integers"):
             data.load_csv(path)
 
+    # The same rule holds when the bad label is not in the last row: a later
+    # good label must not mask it.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("label", ["inf", "nan", "1e20"])
+    def test_labels_must_be_exact_integers(self, tmp_path, label):
+        path = tmp_path / "near.csv"
+        path.write_text(f"1.0,2.0,{label}\n3.0,4.0,1\n")
+        with pytest.raises(DomainError, match="exact integers"):
+            data.load_csv(path)
+
     # An inferred class count above the row count is refused before anything
     # loops over the classes (1e15 would give 10**15 of them).
     @pytest.mark.parametrize("label", ["11", "1e15"])
